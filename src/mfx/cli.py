@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .continuity import ContinuityFailure, check_continuous, explain
 from .domain import EMPTY_HEAP, OkPure, VBool, heap_closed, parse_heap, render_outcome
-from .errors import BudgetExceeded, MfxError, StaticError
+from .errors import MfxError, StaticError
 from .evaluator import (DEFAULT_FUEL_CAP, Diverged, approx_chain, run_lfp)
 from .induction import (DomainSpec, check_rule_sampled, raw_rule, refine,
                         refined_rule, render_rule, rule_to_json)
@@ -37,14 +37,20 @@ from .syntax import parse_program, parse_values
 from .domain import pexpr_to_value
 
 
-def _fuel_default() -> int:
-    env = os.environ.get("MFX_FUEL")
-    if env is not None:
+def _fuel_cap(args) -> int:
+    """The fuel cap of eval and audit: --fuel, else MFX_FUEL, else 1000."""
+    source, cap = "--fuel", args.fuel
+    if cap is None:
+        env = os.environ.get("MFX_FUEL")
+        if env is None:
+            return DEFAULT_FUEL_CAP
         try:
-            return int(env)
+            source, cap = "MFX_FUEL", int(env)
         except ValueError:
             raise StaticError(f"MFX_FUEL must be an integer, got {env!r}")
-    return DEFAULT_FUEL_CAP
+    if cap < 0:
+        raise StaticError(f"{source} must be at least 0, got {cap}")
+    return cap
 
 
 def _load_program(path: str):
@@ -148,13 +154,15 @@ def cmd_eval(args) -> int:
     heap = _load_heap_arg(args, program)
     if fundef.monad == "heap" and not heap_closed(heap, *values):
         raise StaticError("argument values reference unallocated heap ids")
-    cap = args.fuel if args.fuel is not None else _fuel_default()
+    cap = _fuel_cap(args)
     out = run_lfp(program, fundef.name, values, heap, cap)
     print(out if isinstance(out, Diverged) else render_outcome(out))
     return 2 if isinstance(out, Diverged) else 0
 
 
 def cmd_approx(args) -> int:
+    if args.max_fuel < 1:
+        raise StaticError(f"--max-fuel must be at least 1, got {args.max_fuel}")
     program = _load_program(args.file)
     fundef = _pick_fun(program, args.fun, args.file)
     values = _parse_args_values(program, fundef, args.args)
@@ -209,7 +217,7 @@ def cmd_audit(args) -> int:
         raise StaticError("audit via the CLI supports option-monad functions; "
                           "heap-monad rules take heap predicates, available "
                           "through the library API")
-    cap = args.fuel if args.fuel is not None else _fuel_default()
+    cap = _fuel_cap(args)
     oracle = _q_oracle_from_spec(args.q, fundef, cap)
     rule = refined_rule(fundef, program)
     domain = DomainSpec(nat_max=args.nat_max, list_max_len=args.list_max_len,
@@ -310,12 +318,6 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.run(args)
-    except StaticError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except BudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except MfxError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -21,9 +21,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .domain import (BOTTOM, Chain, FALSE, Heap, Ok, OkPure, Outcome,
-                     TRUE, UNIT_V, VBool, VCtor, VList, VNat, VNone, VRef,
-                     VSome, Value, heap_alloc, heap_get, heap_set, outcome_le)
+from .domain import (BOTTOM, Chain, Heap, Ok, OkPure, Outcome, UNIT_V,
+                     VBool, VCtor, VList, VNat, VNone, VRef, VSome, Value,
+                     heap_alloc, heap_get, heap_set, outcome_le)
 from .errors import ChainViolation, DslTypeError
 from .syntax import (Bind, Case, Expr, ExtCall, FunDef, If, PBin, PCall,
                      PCons, PCtor, PExpr, PNat, PNil, PNone, PNot, PBool,
@@ -64,10 +64,14 @@ class Diverged:
 
 
 def eval_pure(p: PExpr, env: dict[str, Value], program: Program) -> Value:
-    """Evaluate a pure expression; total on well-typed inputs.
+    """Evaluate a pure expression or an induction-rule term.
 
     div and mod by zero yield 0, and natural subtraction truncates at zero,
-    mirroring totalized arithmetic.
+    mirroring totalized arithmetic.  Both operands of ``and`` and ``or`` are
+    evaluated.  Rule terms may bind variables to heaps and apply the
+    reserved ``get_ref(r, h)`` and ``set_ref(r, v, h)``, which evaluate with
+    heap_get and heap_set and raise DanglingRef on an unallocated id; every
+    other expression is total on well-typed inputs.
     """
     if isinstance(p, PVar):
         return env[p.name]
@@ -91,10 +95,14 @@ def eval_pure(p: PExpr, env: dict[str, Value], program: Program) -> Value:
     if isinstance(p, PCtor):
         return VCtor(p.name, tuple(eval_pure(a, env, program) for a in p.args))
     if isinstance(p, PCall):
+        args = [eval_pure(a, env, program) for a in p.args]
+        if p.name == "get_ref":
+            return heap_get(args[1], args[0])
+        if p.name == "set_ref":
+            return heap_set(args[2], args[0], args[1])
         d = program.pure_def(p.name)
-        inner = {name: eval_pure(a, env, program)
-                 for (name, _), a in zip(d.params, p.args)}
-        return eval_pure(d.body, inner, program)
+        return eval_pure(d.body, {name: v for (name, _), v in zip(d.params, args)},
+                         program)
     if isinstance(p, PRefLit):
         return VRef(p.rid)
     if isinstance(p, PNot):
@@ -102,22 +110,18 @@ def eval_pure(p: PExpr, env: dict[str, Value], program: Program) -> Value:
         assert isinstance(v, VBool)
         return VBool(not v.value)
     if isinstance(p, PBin):
-        if p.op in ("and", "or"):
-            lhs = eval_pure(p.lhs, env, program)
-            assert isinstance(lhs, VBool)
-            if p.op == "and" and not lhs.value:
-                return FALSE
-            if p.op == "or" and lhs.value:
-                return TRUE
-            return eval_pure(p.rhs, env, program)
         lhs = eval_pure(p.lhs, env, program)
         rhs = eval_pure(p.rhs, env, program)
         if p.op == "=":
             return VBool(lhs == rhs)
         if p.op == "≠":
             return VBool(lhs != rhs)
-        assert isinstance(lhs, VNat) and isinstance(rhs, VNat)
         a, b = lhs.value, rhs.value
+        if p.op == "and":
+            return VBool(a and b)
+        if p.op == "or":
+            return VBool(a or b)
+        assert isinstance(lhs, VNat) and isinstance(rhs, VNat)
         if p.op == "+":
             return VNat(a + b)
         if p.op == "-":

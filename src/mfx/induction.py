@@ -29,19 +29,23 @@ calls of the reserved names ``get_ref``, ``set_ref``, and ``new_ref_with``.
 check_rule_sampled is a desk-scale audit, not a prover: it enumerates the
 quantified variables of each obligation over small bounded domains and,
 independently, brute-forces the rule's conclusion against an executable
-predicate.
+predicate.  It evaluates rule terms with the evaluator's eval_pure, which
+applies get_ref and set_ref through heap_get and heap_set and evaluates both
+operands of ``and`` and ``or``; an assignment under which any term, run or
+predicate reads a dangling reference lies outside the domain and is skipped.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 from .continuity import ContinuityFailure, Derivation, Rule, check_continuous
 from .domain import (EMPTY_HEAP, Heap, Ok, OkPure, Value, VBool, VCtor,
                      VList, VNat, VNone, VRef, VSome, VUnit, heap_alloc,
-                     heap_closed, heap_get, heap_set)
+                     heap_closed)
 from .errors import BudgetExceeded, DanglingRef, MfxError, NotContinuous
 from .evaluator import eval_pure, run_lfp
 from .syntax import (Bind, Case, Expr, ExtCall, FunDef, If, PBin, PBool,
@@ -49,12 +53,12 @@ from .syntax import (Bind, Case, Expr, ExtCall, FunDef, If, PBin, PBool,
                      PRefLit, PSome, PUnit, PVar, Pattern, Program, RefGet,
                      RefNew, RefSet, Return, SelfCall, THeap, TList, TData,
                      TNat, TBool, TUnit, TOption, TRef, Type, TVar, UNIT,
-                     HEAP, _pexpr_children, pretty_expr_named, pretty_pexpr)
-
-# Reserved function names for explicit-heap applications in rule terms.
-HEAP_FUNS = ("get_ref", "set_ref", "new_ref_with")
+                     HEAP, _alpha_p, _pexpr_children, _pexpr_map,
+                     alpha_equivalent, free_vars, pretty_expr_named,
+                     pretty_pexpr)
 
 Term = PExpr  # rule terms are pure expressions plus reserved heap calls
+Var = str  # the name of a quantified variable
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +75,7 @@ class Premise:
 class GeneralHyp(Premise):
     """The unspecialized induction hypothesis of the raw rule."""
 
-    fun_var: str
+    fun_var: Var
 
 
 @dataclass(frozen=True)
@@ -173,91 +177,51 @@ class InductionRule:
 # ---------------------------------------------------------------------------
 
 
-def term_vars(t: Term) -> set[str]:
-    if isinstance(t, PVar):
-        return {t.name}
-    out: set[str] = set()
-    for c in _pexpr_children(t):
-        out |= term_vars(c)
-    return out
-
-
 def subst_term(t: Term, sub: dict[str, Term]) -> Term:
-    if isinstance(t, PVar):
-        return sub.get(t.name, t)
-    if isinstance(t, PCons):
-        return replace(t, head=subst_term(t.head, sub), tail=subst_term(t.tail, sub))
-    if isinstance(t, PSome):
-        return replace(t, arg=subst_term(t.arg, sub))
-    if isinstance(t, (PCtor, PCall)):
-        return replace(t, args=tuple(subst_term(a, sub) for a in t.args))
-    if isinstance(t, PBin):
-        return replace(t, lhs=subst_term(t.lhs, sub), rhs=subst_term(t.rhs, sub))
-    if isinstance(t, PNot):
-        return replace(t, arg=subst_term(t.arg, sub))
-    return t
+    def go(t: Term) -> Term:
+        if isinstance(t, PVar):
+            return sub.get(t.name, t)
+        return _pexpr_map(t, go)
+
+    return go(t)
 
 
-def _subst_opt(t: Optional[Term], sub) -> Optional[Term]:
-    return None if t is None else subst_term(t, sub)
+# The role of every field of each premise class, read once from its
+# annotation: rule terms (single, optional or a tuple), the name of a
+# quantified variable, a raw body, or plain data (names and polarities).
+_TERM, _TERMS, _VAR, _BODY, _DATA = range(5)
+_ROLES = {"Term": _TERM, "Optional[Term]": _TERM, "tuple[Term, ...]": _TERMS,
+          "Var": _VAR, "Expr": _BODY}
+_PREMISE_FIELDS = {
+    cls: tuple((f.name, _ROLES.get(f.type, _DATA)) for f in fields(cls))
+    for cls in (GeneralHyp, BodyEq, BodySem, OptEq, SemTriple, PureEq,
+                PureCond, HeapNew, Hyp)}
 
 
 def subst_premise(p: Premise, sub: dict[str, Term]) -> Premise:
     if isinstance(p, (GeneralHyp, BodyEq, BodySem)):
         return p  # raw premises are never refined in place
-    if isinstance(p, OptEq):
-        return replace(p, args=tuple(subst_term(a, sub) for a in p.args),
-                       result=subst_term(p.result, sub))
-    if isinstance(p, SemTriple):
-        return replace(p, pre=subst_term(p.pre, sub), post=subst_term(p.post, sub),
-                       result=subst_term(p.result, sub),
-                       args=tuple(subst_term(a, sub) for a in p.args))
-    if isinstance(p, PureEq):
-        return replace(p, lhs=subst_term(p.lhs, sub), rhs=subst_term(p.rhs, sub))
-    if isinstance(p, PureCond):
-        return replace(p, cond=subst_term(p.cond, sub))
-    if isinstance(p, HeapNew):
-        return replace(p, ref=subst_term(p.ref, sub), post=subst_term(p.post, sub),
-                       value=subst_term(p.value, sub), pre=subst_term(p.pre, sub))
-    if isinstance(p, Hyp):
-        return replace(p, args=tuple(subst_term(a, sub) for a in p.args),
-                       result=subst_term(p.result, sub),
-                       pre=_subst_opt(p.pre, sub), post=_subst_opt(p.post, sub))
-    raise AssertionError(p)
+    changes = {}
+    for name, role in _PREMISE_FIELDS[type(p)]:
+        v = getattr(p, name)
+        if role == _TERM and v is not None:
+            changes[name] = subst_term(v, sub)
+        elif role == _TERMS:
+            changes[name] = tuple(subst_term(t, sub) for t in v)
+    return replace(p, **changes)
 
 
 def premise_vars(p: Premise) -> set[str]:
-    if isinstance(p, GeneralHyp):
-        return {p.fun_var}
-    if isinstance(p, BodyEq):
-        return term_vars(p.result)
-    if isinstance(p, BodySem):
-        return term_vars(p.pre) | term_vars(p.post) | term_vars(p.result)
-    if isinstance(p, OptEq):
-        return set().union(*map(term_vars, p.args), term_vars(p.result)) \
-            if p.args else term_vars(p.result)
-    if isinstance(p, SemTriple):
-        out = term_vars(p.pre) | term_vars(p.post) | term_vars(p.result)
-        for a in p.args:
-            out |= term_vars(a)
-        return out
-    if isinstance(p, PureEq):
-        return term_vars(p.lhs) | term_vars(p.rhs)
-    if isinstance(p, PureCond):
-        return term_vars(p.cond)
-    if isinstance(p, HeapNew):
-        return term_vars(p.ref) | term_vars(p.post) | term_vars(p.value) \
-            | term_vars(p.pre)
-    if isinstance(p, Hyp):
-        out = term_vars(p.result)
-        for a in p.args:
-            out |= term_vars(a)
-        if p.pre is not None:
-            out |= term_vars(p.pre)
-        if p.post is not None:
-            out |= term_vars(p.post)
-        return out
-    raise AssertionError(p)
+    out: set[str] = set()
+    for name, role in _PREMISE_FIELDS[type(p)]:
+        v = getattr(p, name)
+        if role == _TERM and v is not None:
+            out |= free_vars(v)
+        elif role == _TERMS:
+            out = out.union(*map(free_vars, v))
+        elif role == _VAR:
+            out.add(v)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +360,22 @@ def refine(rule: InductionRule, derivation: Derivation) -> InductionRule:
              premises: tuple[Premise, ...],
              vars_: tuple[tuple[str, Optional[Type]], ...],
              env: dict[str, Type], fresh: _Fresh):
-        def finish(result: Term, post: Optional[Term]):
+        def finish(result: Term, post: Optional[Term], vs=vars_, ps=premises):
             concl = Hyp(tuple(PVar(p) for p, _ in f.params), result,
                         PVar(h0) if is_heap else None, post)
-            obligations.append(_cleanup(Obligation(vars_, premises, concl)))
+            obligations.append(_cleanup(Obligation(vs, ps, concl)))
+
+        def bind(prem: Premise, x: str, ty: Type, hpost: Optional[str]):
+            """Add ``prem``, which defines ``x`` (and the post-heap ``hpost``
+            if one is given); then continue with the pending continuation,
+            or conclude the path with ``x`` as its result."""
+            vs = vars_ + ((x, ty),) + (((hpost, HEAP),) if hpost else ())
+            post = PVar(hpost) if hpost else heap
+            if konts:
+                walk(konts[0][1], konts[1:], post, premises + (prem,), vs,
+                     {**env, x: ty}, fresh)
+            else:
+                finish(PVar(x), post, vs, premises + (prem,))
 
         if isinstance(e, Bind):
             walk(e.head, ((e.var, e.body),) + konts, heap, premises, vars_, env, fresh)
@@ -424,75 +400,28 @@ def refine(rule: InductionRule, derivation: Derivation) -> InductionRule:
             if not konts:
                 finish(e.value, heap)
                 return
-            (x, rest), rest_k = konts[0], konts[1:]
-            ty = tc.infer(e.value, env)
-            walk(rest, rest_k, heap,
-                 premises + (PureEq(e.value, PVar(x)),),
-                 vars_ + ((x, ty),), {**env, x: ty}, fresh)
+            x = konts[0][0]
+            bind(PureEq(e.value, PVar(x)), x, tc.infer(e.value, env), None)
             return
-        if isinstance(e, SelfCall):
-            rty = f.result_type
+        if isinstance(e, (SelfCall, ExtCall)):
             x = konts[0][0] if konts else fresh.value("y")
-            if is_heap:
-                hpost = fresh.heap()
-                hyp = Hyp(e.args, PVar(x), heap, PVar(hpost))
-                newvars = vars_ + ((x, rty), (hpost, HEAP))
-                if konts:
-                    walk(konts[0][1], konts[1:], PVar(hpost),
-                         premises + (hyp,), newvars, {**env, x: rty}, fresh)
-                else:
-                    concl = Hyp(tuple(PVar(p) for p, _ in f.params), PVar(x),
-                                PVar(h0), PVar(hpost))
-                    obligations.append(_cleanup(
-                        Obligation(newvars, premises + (hyp,), concl)))
+            hpost = fresh.heap() if is_heap else None
+            if isinstance(e, SelfCall):
+                rty = f.result_type
+                prem = Hyp(e.args, PVar(x), heap, PVar(hpost) if is_heap else None)
             else:
-                hyp = Hyp(e.args, PVar(x))
-                newvars = vars_ + ((x, rty),)
-                if konts:
-                    walk(konts[0][1], konts[1:], heap,
-                         premises + (hyp,), newvars, {**env, x: rty}, fresh)
-                else:
-                    concl = Hyp(tuple(PVar(p) for p, _ in f.params), PVar(x))
-                    obligations.append(_cleanup(
-                        Obligation(newvars, premises + (hyp,), concl)))
-            return
-        if isinstance(e, ExtCall):
-            callee = program.fun_def(e.name)
-            rty = callee.result_type
-            x = konts[0][0] if konts else fresh.value("y")
-            if is_heap:
-                hpost = fresh.heap()
-                prem = SemTriple(heap, PVar(hpost), PVar(x), e.name, e.args)
-                newvars = vars_ + ((x, rty), (hpost, HEAP))
-                if konts:
-                    walk(konts[0][1], konts[1:], PVar(hpost),
-                         premises + (prem,), newvars, {**env, x: rty}, fresh)
-                else:
-                    concl = Hyp(tuple(PVar(p) for p, _ in f.params), PVar(x),
-                                PVar(h0), PVar(hpost))
-                    obligations.append(_cleanup(
-                        Obligation(newvars, premises + (prem,), concl)))
-            else:
-                prem = OptEq(e.name, e.args, PVar(x))
-                newvars = vars_ + ((x, rty),)
-                if konts:
-                    walk(konts[0][1], konts[1:], heap,
-                         premises + (prem,), newvars, {**env, x: rty}, fresh)
-                else:
-                    concl = Hyp(tuple(PVar(p) for p, _ in f.params), PVar(x))
-                    obligations.append(_cleanup(
-                        Obligation(newvars, premises + (prem,), concl)))
+                rty = program.fun_def(e.name).result_type
+                prem = SemTriple(heap, PVar(hpost), PVar(x), e.name, e.args) \
+                    if is_heap else OptEq(e.name, e.args, PVar(x))
+            bind(prem, x, rty, hpost)
             return
         if isinstance(e, RefGet):
             got = PCall("get_ref", (e.ref, heap))  # h' = h collapsed for reads
             if not konts:
                 finish(got, heap)
                 return
-            (x, rest), rest_k = konts[0], konts[1:]
-            rt = tc.infer(e.ref, env)
-            ty = rt.elem
-            walk(rest, rest_k, heap, premises + (PureEq(PVar(x), got),),
-                 vars_ + ((x, ty),), {**env, x: ty}, fresh)
+            x = konts[0][0]
+            bind(PureEq(PVar(x), got), x, tc.infer(e.ref, env).elem, None)
             return
         if isinstance(e, RefSet):
             newheap = PCall("set_ref", (e.ref, e.value, heap))
@@ -504,19 +433,10 @@ def refine(rule: InductionRule, derivation: Derivation) -> InductionRule:
                  vars_ + ((x, UNIT),), {**env, x: UNIT}, fresh)
             return
         if isinstance(e, RefNew):
-            vty = tc.infer(e.value, env)
             hpost = fresh.heap()
             r = konts[0][0] if konts else fresh.value("r")
-            prem = HeapNew(PVar(r), PVar(hpost), e.value, heap)
-            newvars = vars_ + ((r, TRef(vty)), (hpost, HEAP))
-            if not konts:
-                concl = Hyp(tuple(PVar(p) for p, _ in f.params), PVar(r),
-                            PVar(h0), PVar(hpost))
-                obligations.append(_cleanup(
-                    Obligation(newvars, premises + (prem,), concl)))
-                return
-            walk(konts[0][1], konts[1:], PVar(hpost), premises + (prem,),
-                 newvars, {**env, r: TRef(vty)}, fresh)
+            bind(HeapNew(PVar(r), PVar(hpost), e.value, heap), r,
+                 TRef(tc.infer(e.value, env)), hpost)
             return
         raise AssertionError(e)
 
@@ -548,10 +468,10 @@ def _cleanup(ob: Obligation) -> Obligation:
         # equations put the defined variable there), then on the left
         # (explicit-heap equations).
         if isinstance(rhs, PVar) and rhs.name in var_names \
-                and rhs.name not in term_vars(lhs):
+                and rhs.name not in free_vars(lhs):
             return rhs.name, lhs
         if isinstance(lhs, PVar) and lhs.name in var_names \
-                and lhs.name not in term_vars(rhs):
+                and lhs.name not in free_vars(rhs):
             return lhs.name, rhs
         return None
 
@@ -715,231 +635,114 @@ def render_rule(rule: InductionRule, fmt: str = "text") -> str:
 # ---------------------------------------------------------------------------
 
 
-def type_to_json(t: Optional[Type]):
-    if t is None:
-        return {"t": "function"}
-    if isinstance(t, TNat):
-        return {"t": "nat"}
-    if isinstance(t, TBool):
-        return {"t": "bool"}
-    if isinstance(t, TUnit):
-        return {"t": "unit"}
-    if isinstance(t, THeap):
-        return {"t": "heap"}
-    if isinstance(t, TList):
-        return {"t": "list", "elem": type_to_json(t.elem)}
-    if isinstance(t, TOption):
-        return {"t": "option", "elem": type_to_json(t.elem)}
-    if isinstance(t, TRef):
-        return {"t": "ref", "elem": type_to_json(t.elem)}
-    if isinstance(t, TData):
-        return {"t": "data", "name": t.name, "args": [type_to_json(a) for a in t.args]}
-    if isinstance(t, TVar):
-        return {"t": "tyvar", "name": t.name}
-    raise AssertionError(t)
+# Every node class and its JSON tag.  A node is written as a dict: its tag
+# (under "t" for types, "tag" otherwise), then its fields in declaration
+# order, keyed by field name.  A None type (the function variable of a raw
+# rule) is written {"t": "function"}.
+_TYPE_TAGS = {
+    TNat: "nat", TBool: "bool", TUnit: "unit", THeap: "heap", TList: "list",
+    TOption: "option", TRef: "ref", TData: "data", TVar: "tyvar",
+    type(None): "function",
+}
+_NODE_TAGS = {
+    PVar: "var", PNat: "nat", PBool: "bool", PUnit: "unit", PNil: "nil",
+    PCons: "cons", PNone: "none", PSome: "some", PCtor: "ctor", PCall: "call",
+    PBin: "binop", PNot: "not", PRefLit: "ref",
+    Return: "return", Bind: "bind", If: "if", Case: "case",
+    SelfCall: "selfcall", ExtCall: "extcall", RefNew: "ref_new",
+    RefGet: "ref_get", RefSet: "ref_set",
+    GeneralHyp: "general_hyp", BodyEq: "body_eq", BodySem: "body_sem",
+    OptEq: "opt_eq", SemTriple: "sem_triple", PureEq: "eq", PureCond: "cond",
+    HeapNew: "heap_new", Hyp: "hyp",
+}
+# Keys that differ from the field name, and the one class whose keys are
+# not written in field order.
+_KEYS = {(If, "els"): "else", (PRefLit, "rid"): "id", (PureCond, "cond"): "term"}
+_KEY_ORDER = {PureCond: ("positive", "cond")}
+
+# How a field is written, by its annotation: a scalar as is, a node or a
+# tuple of nodes recursively, an absent optional term not at all, names as
+# a list, and case branches as {"ctor", "vars", "body"} dicts.
+_SCALAR, _NODE, _NODES, _OPT, _NAMES, _BRANCHES = range(6)
+_SHAPES = {
+    "str": _SCALAR, "int": _SCALAR, "bool": _SCALAR, "Var": _SCALAR,
+    "Type": _NODE, "PExpr": _NODE, "Expr": _NODE, "Term": _NODE,
+    "tuple[Type, ...]": _NODES, "tuple[PExpr, ...]": _NODES,
+    "tuple[Term, ...]": _NODES, "Optional[Term]": _OPT,
+    "tuple[str, ...]": _NAMES, "tuple[tuple[Pattern, Expr], ...]": _BRANCHES,
+}
 
 
-def type_from_json(j) -> Optional[Type]:
-    tag = j["t"]
-    if tag == "function":
-        return None
-    simple = {"nat": TNat(), "bool": TBool(), "unit": TUnit(), "heap": THeap()}
-    if tag in simple:
-        return simple[tag]
-    if tag == "list":
-        return TList(type_from_json(j["elem"]))
-    if tag == "option":
-        return TOption(type_from_json(j["elem"]))
-    if tag == "ref":
-        return TRef(type_from_json(j["elem"]))
-    if tag == "data":
-        return TData(j["name"], tuple(type_from_json(a) for a in j["args"]))
-    if tag == "tyvar":
-        return TVar(j["name"])
-    raise ValueError(f"unknown type tag {tag!r}")
+def _codec_fields(cls) -> dict[str, tuple[str, int, str]]:
+    """Field name -> (JSON key, shape, tag key of the nodes it holds), in
+    declaration order; fields that take no part in equality are skipped."""
+    if cls is type(None):
+        return {}
+    return {f.name: (_KEYS.get((cls, f.name), f.name), _SHAPES[f.type],
+                     "t" if "Type" in f.type else "tag")
+            for f in fields(cls) if f.compare}
 
 
-def term_to_json(t: Term):
-    if isinstance(t, PVar):
-        return {"tag": "var", "name": t.name}
-    if isinstance(t, PNat):
-        return {"tag": "nat", "value": t.value}
-    if isinstance(t, PBool):
-        return {"tag": "bool", "value": t.value}
-    if isinstance(t, PUnit):
-        return {"tag": "unit"}
-    if isinstance(t, PNil):
-        return {"tag": "nil"}
-    if isinstance(t, PCons):
-        return {"tag": "cons", "head": term_to_json(t.head), "tail": term_to_json(t.tail)}
-    if isinstance(t, PNone):
-        return {"tag": "none"}
-    if isinstance(t, PSome):
-        return {"tag": "some", "arg": term_to_json(t.arg)}
-    if isinstance(t, PCtor):
-        return {"tag": "ctor", "name": t.name, "args": [term_to_json(a) for a in t.args]}
-    if isinstance(t, PCall):
-        return {"tag": "call", "name": t.name, "args": [term_to_json(a) for a in t.args]}
-    if isinstance(t, PBin):
-        return {"tag": "binop", "op": t.op, "lhs": term_to_json(t.lhs),
-                "rhs": term_to_json(t.rhs)}
-    if isinstance(t, PNot):
-        return {"tag": "not", "arg": term_to_json(t.arg)}
-    if isinstance(t, PRefLit):
-        return {"tag": "ref", "id": t.rid}
-    raise AssertionError(t)
+def _encoder_fields(cls) -> tuple[tuple[str, str, int], ...]:
+    """(field, JSON key, shape) per field, in the order of the JSON keys."""
+    fs = _codec_fields(cls)
+    return tuple((n,) + fs[n][:2] for n in _KEY_ORDER.get(cls, fs))
 
 
-def term_from_json(j) -> Term:
-    tag = j["tag"]
-    if tag == "var":
-        return PVar(j["name"])
-    if tag == "nat":
-        return PNat(j["value"])
-    if tag == "bool":
-        return PBool(j["value"])
-    if tag == "unit":
-        return PUnit()
-    if tag == "nil":
-        return PNil()
-    if tag == "cons":
-        return PCons(term_from_json(j["head"]), term_from_json(j["tail"]))
-    if tag == "none":
-        return PNone()
-    if tag == "some":
-        return PSome(term_from_json(j["arg"]))
-    if tag == "ctor":
-        return PCtor(j["name"], tuple(term_from_json(a) for a in j["args"]))
-    if tag == "call":
-        return PCall(j["name"], tuple(term_from_json(a) for a in j["args"]))
-    if tag == "binop":
-        return PBin(j["op"], term_from_json(j["lhs"]), term_from_json(j["rhs"]))
-    if tag == "not":
-        return PNot(term_from_json(j["arg"]))
-    if tag == "ref":
-        return PRefLit(j["id"])
-    raise ValueError(f"unknown term tag {tag!r}")
+_TAG_TABLES = (("t", _TYPE_TAGS), ("tag", _NODE_TAGS))
+# class -> (tag key, tag, encoder fields)
+_ENCODE = {cls: (tag_key, tag, _encoder_fields(cls))
+           for tag_key, tags in _TAG_TABLES for cls, tag in tags.items()}
+# tag key -> tag -> (class, ((JSON key, shape, tag key), ...) in field order)
+_DECODE = {tag_key: {tag: (cls, tuple(_codec_fields(cls).values()))
+                     for cls, tag in tags.items()}
+           for tag_key, tags in _TAG_TABLES}
 
 
-def expr_to_json(e: Expr):
-    if isinstance(e, Return):
-        return {"tag": "return", "value": term_to_json(e.value)}
-    if isinstance(e, Bind):
-        return {"tag": "bind", "var": e.var, "head": expr_to_json(e.head),
-                "body": expr_to_json(e.body)}
-    if isinstance(e, If):
-        return {"tag": "if", "cond": term_to_json(e.cond),
-                "then": expr_to_json(e.then), "else": expr_to_json(e.els)}
-    if isinstance(e, Case):
-        return {"tag": "case", "scrutinee": term_to_json(e.scrutinee),
-                "branches": [{"ctor": p.ctor, "vars": list(p.vars),
-                              "body": expr_to_json(b)} for p, b in e.branches]}
-    if isinstance(e, SelfCall):
-        return {"tag": "selfcall", "args": [term_to_json(a) for a in e.args]}
-    if isinstance(e, ExtCall):
-        return {"tag": "extcall", "name": e.name,
-                "args": [term_to_json(a) for a in e.args]}
-    if isinstance(e, RefNew):
-        return {"tag": "ref_new", "value": term_to_json(e.value)}
-    if isinstance(e, RefGet):
-        return {"tag": "ref_get", "ref": term_to_json(e.ref)}
-    if isinstance(e, RefSet):
-        return {"tag": "ref_set", "ref": term_to_json(e.ref),
-                "value": term_to_json(e.value)}
-    raise AssertionError(e)
+def _to_json(x) -> dict:
+    tag_key, tag, layout = _ENCODE[type(x)]
+    j = {tag_key: tag}
+    for name, key, shape in layout:
+        v = getattr(x, name)
+        if shape == _SCALAR:
+            j[key] = v
+        elif shape == _NODE:
+            j[key] = _to_json(v)
+        elif shape == _NODES:
+            j[key] = [_to_json(c) for c in v]
+        elif shape == _OPT:
+            if v is not None:
+                j[key] = _to_json(v)
+        elif shape == _NAMES:
+            j[key] = list(v)
+        else:
+            j[key] = [{"ctor": pat.ctor, "vars": list(pat.vars), "body": _to_json(e)}
+                      for pat, e in v]
+    return j
 
 
-def expr_from_json(j) -> Expr:
-    tag = j["tag"]
-    if tag == "return":
-        return Return(term_from_json(j["value"]))
-    if tag == "bind":
-        return Bind(j["var"], expr_from_json(j["head"]), expr_from_json(j["body"]))
-    if tag == "if":
-        return If(term_from_json(j["cond"]), expr_from_json(j["then"]),
-                  expr_from_json(j["else"]))
-    if tag == "case":
-        return Case(term_from_json(j["scrutinee"]),
-                    tuple((Pattern(b["ctor"], tuple(b["vars"])),
-                           expr_from_json(b["body"])) for b in j["branches"]))
-    if tag == "selfcall":
-        return SelfCall(tuple(term_from_json(a) for a in j["args"]))
-    if tag == "extcall":
-        return ExtCall(j["name"], tuple(term_from_json(a) for a in j["args"]))
-    if tag == "ref_new":
-        return RefNew(term_from_json(j["value"]))
-    if tag == "ref_get":
-        return RefGet(term_from_json(j["ref"]))
-    if tag == "ref_set":
-        return RefSet(term_from_json(j["ref"]), term_from_json(j["value"]))
-    raise ValueError(f"unknown expr tag {tag!r}")
-
-
-def _premise_to_json(p: Premise):
-    if isinstance(p, GeneralHyp):
-        return {"tag": "general_hyp", "fun_var": p.fun_var}
-    if isinstance(p, BodyEq):
-        return {"tag": "body_eq", "body": expr_to_json(p.body),
-                "result": term_to_json(p.result)}
-    if isinstance(p, BodySem):
-        return {"tag": "body_sem", "pre": term_to_json(p.pre),
-                "post": term_to_json(p.post), "result": term_to_json(p.result),
-                "body": expr_to_json(p.body)}
-    if isinstance(p, OptEq):
-        return {"tag": "opt_eq", "fun": p.fun,
-                "args": [term_to_json(a) for a in p.args],
-                "result": term_to_json(p.result)}
-    if isinstance(p, SemTriple):
-        return {"tag": "sem_triple", "pre": term_to_json(p.pre),
-                "post": term_to_json(p.post), "result": term_to_json(p.result),
-                "fun": p.fun, "args": [term_to_json(a) for a in p.args]}
-    if isinstance(p, PureEq):
-        return {"tag": "eq", "lhs": term_to_json(p.lhs), "rhs": term_to_json(p.rhs)}
-    if isinstance(p, PureCond):
-        return {"tag": "cond", "positive": p.positive, "term": term_to_json(p.cond)}
-    if isinstance(p, HeapNew):
-        return {"tag": "heap_new", "ref": term_to_json(p.ref),
-                "post": term_to_json(p.post), "value": term_to_json(p.value),
-                "pre": term_to_json(p.pre)}
-    if isinstance(p, Hyp):
-        j = {"tag": "hyp", "args": [term_to_json(a) for a in p.args],
-             "result": term_to_json(p.result)}
-        if p.pre is not None:
-            j["pre"] = term_to_json(p.pre)
-            j["post"] = term_to_json(p.post)
-        return j
-    raise AssertionError(p)
-
-
-def _premise_from_json(j) -> Premise:
-    tag = j["tag"]
-    if tag == "general_hyp":
-        return GeneralHyp(j["fun_var"])
-    if tag == "body_eq":
-        return BodyEq(expr_from_json(j["body"]), term_from_json(j["result"]))
-    if tag == "body_sem":
-        return BodySem(term_from_json(j["pre"]), term_from_json(j["post"]),
-                       term_from_json(j["result"]), expr_from_json(j["body"]))
-    if tag == "opt_eq":
-        return OptEq(j["fun"], tuple(term_from_json(a) for a in j["args"]),
-                     term_from_json(j["result"]))
-    if tag == "sem_triple":
-        return SemTriple(term_from_json(j["pre"]), term_from_json(j["post"]),
-                         term_from_json(j["result"]), j["fun"],
-                         tuple(term_from_json(a) for a in j["args"]))
-    if tag == "eq":
-        return PureEq(term_from_json(j["lhs"]), term_from_json(j["rhs"]))
-    if tag == "cond":
-        return PureCond(term_from_json(j["term"]), j["positive"])
-    if tag == "heap_new":
-        return HeapNew(term_from_json(j["ref"]), term_from_json(j["post"]),
-                       term_from_json(j["value"]), term_from_json(j["pre"]))
-    if tag == "hyp":
-        pre = term_from_json(j["pre"]) if "pre" in j else None
-        post = term_from_json(j["post"]) if "post" in j else None
-        return Hyp(tuple(term_from_json(a) for a in j["args"]),
-                   term_from_json(j["result"]), pre, post)
-    raise ValueError(f"unknown premise tag {tag!r}")
+def _from_json(j: dict, tag_key: str = "tag"):
+    tag = j[tag_key]
+    try:
+        cls, layout = _DECODE[tag_key][tag]
+    except KeyError:
+        raise ValueError(f"unknown JSON tag {tag!r}") from None
+    args = []
+    for key, shape, sub in layout:
+        if shape == _SCALAR:
+            args.append(j[key])
+        elif shape == _NODE:
+            args.append(_from_json(j[key], sub))
+        elif shape == _NODES:
+            args.append(tuple(_from_json(c, sub) for c in j[key]))
+        elif shape == _OPT:
+            args.append(_from_json(j[key], sub) if key in j else None)
+        elif shape == _NAMES:
+            args.append(tuple(j[key]))
+        else:
+            args.append(tuple((Pattern(b["ctor"], tuple(b["vars"])),
+                               _from_json(b["body"], sub)) for b in j[key]))
+    return cls(*args)  # type(None)() is None
 
 
 def rule_to_json(rule: InductionRule) -> dict:
@@ -947,27 +750,27 @@ def rule_to_json(rule: InductionRule) -> dict:
         "function": rule.function,
         "monad": rule.monad,
         "kind": rule.kind,
-        "params": [{"name": n, "type": type_to_json(t)} for n, t in rule.params],
-        "result_type": type_to_json(rule.result_type),
+        "params": [{"name": n, "type": _to_json(t)} for n, t in rule.params],
+        "result_type": _to_json(rule.result_type),
         "conclusion": conclusion_schema_str(rule),
         "obligations": [
-            {"vars": [{"name": n, "type": type_to_json(t)} for n, t in ob.vars],
-             "premises": [_premise_to_json(p) for p in ob.premises],
-             "conclusion": _premise_to_json(ob.conclusion)}
+            {"vars": [{"name": n, "type": _to_json(t)} for n, t in ob.vars],
+             "premises": [_to_json(p) for p in ob.premises],
+             "conclusion": _to_json(ob.conclusion)}
             for ob in rule.obligations],
     }
 
 
 def rule_from_json(j: dict) -> InductionRule:
     obligations = tuple(
-        Obligation(tuple((v["name"], type_from_json(v["type"])) for v in ob["vars"]),
-                   tuple(_premise_from_json(p) for p in ob["premises"]),
-                   _premise_from_json(ob["conclusion"]))
+        Obligation(tuple((v["name"], _from_json(v["type"], "t")) for v in ob["vars"]),
+                   tuple(_from_json(p) for p in ob["premises"]),
+                   _from_json(ob["conclusion"]))
         for ob in j["obligations"])
     return InductionRule(j["function"], j["monad"], j["kind"],
-                         tuple((p["name"], type_from_json(p["type"]))
+                         tuple((p["name"], _from_json(p["type"], "t"))
                                for p in j["params"]),
-                         type_from_json(j["result_type"]), obligations)
+                         _from_json(j["result_type"], "t"), obligations)
 
 
 # ---------------------------------------------------------------------------
@@ -975,75 +778,27 @@ def rule_from_json(j: dict) -> InductionRule:
 # ---------------------------------------------------------------------------
 
 
-def _alpha_terms(a: Term, b: Term, quant_a: set[str], quant_b: set[str],
-                 m: dict[str, str]) -> bool:
-    if isinstance(a, PVar) or isinstance(b, PVar):
-        if not (isinstance(a, PVar) and isinstance(b, PVar)):
-            return False
-        if a.name in quant_a or b.name in quant_b:
-            if a.name not in quant_a or b.name not in quant_b:
-                return False
-            if a.name in m:
-                return m[a.name] == b.name
-            if b.name in m.values():
-                return False
-            m[a.name] = b.name
-            return True
-        return a.name == b.name
+def _alpha_premise(a: Premise, b: Premise,
+                   same_var: Callable[[str, str], bool]) -> bool:
+    """Field-by-field alpha-equivalence of two premises."""
     if type(a) is not type(b):
         return False
-    if isinstance(a, (PNat, PBool)):
-        return a.value == b.value
-    if isinstance(a, PRefLit):
-        return a.rid == b.rid
-    if isinstance(a, (PCtor, PCall)) and a.name != b.name:
-        return False
-    if isinstance(a, PBin) and a.op != b.op:
-        return False
-    ca, cb = _pexpr_children(a), _pexpr_children(b)
-    return len(ca) == len(cb) and all(
-        _alpha_terms(x, y, quant_a, quant_b, m) for x, y in zip(ca, cb))
-
-
-def _alpha_premise(a: Premise, b: Premise, qa, qb, m) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, GeneralHyp):
-        return _alpha_terms(PVar(a.fun_var), PVar(b.fun_var), qa, qb, m)
-    if isinstance(a, (BodyEq, BodySem)):
-        from .syntax import alpha_equivalent
-
-        if not alpha_equivalent(a.body, b.body):
+    for name, role in _PREMISE_FIELDS[type(a)]:
+        x, y = getattr(a, name), getattr(b, name)
+        if role == _TERM:
+            ok = (x is None) == (y is None) and (x is None or _alpha_p(x, y, same_var))
+        elif role == _TERMS:
+            ok = len(x) == len(y) and all(
+                _alpha_p(s, t, same_var) for s, t in zip(x, y))
+        elif role == _VAR:
+            ok = same_var(x, y)
+        elif role == _BODY:
+            ok = alpha_equivalent(x, y)
+        else:
+            ok = x == y
+        if not ok:
             return False
-        fields_a = [a.result] if isinstance(a, BodyEq) else [a.pre, a.post, a.result]
-        fields_b = [b.result] if isinstance(b, BodyEq) else [b.pre, b.post, b.result]
-        return all(_alpha_terms(x, y, qa, qb, m) for x, y in zip(fields_a, fields_b))
-    if isinstance(a, OptEq):
-        return a.fun == b.fun and len(a.args) == len(b.args) and all(
-            _alpha_terms(x, y, qa, qb, m) for x, y in
-            list(zip(a.args, b.args)) + [(a.result, b.result)])
-    if isinstance(a, SemTriple):
-        return a.fun == b.fun and len(a.args) == len(b.args) and all(
-            _alpha_terms(x, y, qa, qb, m) for x, y in
-            [(a.pre, b.pre), (a.post, b.post), (a.result, b.result)]
-            + list(zip(a.args, b.args)))
-    if isinstance(a, PureEq):
-        return _alpha_terms(a.lhs, b.lhs, qa, qb, m) and \
-            _alpha_terms(a.rhs, b.rhs, qa, qb, m)
-    if isinstance(a, PureCond):
-        return a.positive == b.positive and _alpha_terms(a.cond, b.cond, qa, qb, m)
-    if isinstance(a, HeapNew):
-        return all(_alpha_terms(x, y, qa, qb, m) for x, y in
-                   [(a.ref, b.ref), (a.post, b.post), (a.value, b.value),
-                    (a.pre, b.pre)])
-    if isinstance(a, Hyp):
-        if (a.pre is None) != (b.pre is None) or len(a.args) != len(b.args):
-            return False
-        pairs = list(zip(a.args, b.args)) + [(a.result, b.result)]
-        if a.pre is not None:
-            pairs += [(a.pre, b.pre), (a.post, b.post)]
-        return all(_alpha_terms(x, y, qa, qb, m) for x, y in pairs)
-    raise AssertionError(a)
+    return True
 
 
 def obligations_alpha_equivalent(a: Obligation, b: Obligation) -> bool:
@@ -1053,12 +808,27 @@ def obligations_alpha_equivalent(a: Obligation, b: Obligation) -> bool:
     qa = {n for n, _ in a.vars}
     qb = {n for n, _ in b.vars}
     m: dict[str, str] = {}
+
+    def same_var(x: str, y: str) -> bool:
+        # Quantified variables must correspond one to one; other names
+        # must be equal.
+        if x in qa or y in qb:
+            if x not in qa or y not in qb:
+                return False
+            if x in m:
+                return m[x] == y
+            if y in m.values():
+                return False
+            m[x] = y
+            return True
+        return x == y
+
     for pa, pb in zip(a.premises, b.premises):
-        if not _alpha_premise(pa, pb, qa, qb, m):
+        if not _alpha_premise(pa, pb, same_var):
             return False
-    if not _alpha_premise(a.conclusion, b.conclusion, qa, qb, m):
+    if not _alpha_premise(a.conclusion, b.conclusion, same_var):
         return False
-    # Mapped variables must agree on их declared types.
+    # Mapped variables must agree on their declared types.
     types_a = dict(a.vars)
     types_b = dict(b.vars)
     return all(types_a[x] == types_b[y] for x, y in m.items())
@@ -1123,11 +893,6 @@ class Verdict:
         return "\n".join(lines)
 
 
-class _Unsat(Exception):
-    """Premise evaluation hit an undefined application (e.g. a dangling
-    reference); the assignment is outside the intended domain."""
-
-
 def enum_values(ty: Type, spec: DomainSpec, program: Program,
                 depth: int = 0) -> list[Value]:
     """All values of a type within the domain bounds, in canonical order."""
@@ -1180,70 +945,6 @@ def enum_values(ty: Type, spec: DomainSpec, program: Program,
         if v not in out:
             out.append(v)
     return out
-
-
-def _eval_term(t: Term, env: dict[str, object], program: Program,
-               fuel_cap: int):
-    """Evaluate a rule term; variables may be bound to values or heaps."""
-    if isinstance(t, PVar):
-        return env[t.name]
-    if isinstance(t, PCall) and t.name == "get_ref":
-        r = _eval_term(t.args[0], env, program, fuel_cap)
-        h = _eval_term(t.args[1], env, program, fuel_cap)
-        try:
-            return heap_get(h, r)
-        except DanglingRef:
-            raise _Unsat
-    if isinstance(t, PCall) and t.name == "set_ref":
-        r = _eval_term(t.args[0], env, program, fuel_cap)
-        v = _eval_term(t.args[1], env, program, fuel_cap)
-        h = _eval_term(t.args[2], env, program, fuel_cap)
-        try:
-            return heap_set(h, r, v)
-        except DanglingRef:
-            raise _Unsat
-    if isinstance(t, PCall):
-        args = [_eval_term(a, env, program, fuel_cap) for a in t.args]
-        d = program.pure_def(t.name)
-        inner = {n: v for (n, _), v in zip(d.params, args)}
-        return eval_pure(d.body, inner, program)
-    if isinstance(t, PCons):
-        head = _eval_term(t.head, env, program, fuel_cap)
-        tail = _eval_term(t.tail, env, program, fuel_cap)
-        return VList((head,) + tail.items)
-    if isinstance(t, PSome):
-        return VSome(_eval_term(t.arg, env, program, fuel_cap))
-    if isinstance(t, PCtor):
-        return VCtor(t.name, tuple(_eval_term(a, env, program, fuel_cap)
-                                   for a in t.args))
-    if isinstance(t, PNot):
-        v = _eval_term(t.arg, env, program, fuel_cap)
-        return VBool(not v.value)
-    if isinstance(t, PBin):
-        # Operands may contain explicit-heap applications, so evaluate them
-        # here rather than through the pure interpreter.
-        a = _eval_term(t.lhs, env, program, fuel_cap)
-        b = _eval_term(t.rhs, env, program, fuel_cap)
-        if t.op == "=":
-            return VBool(a == b)
-        if t.op == "≠":
-            return VBool(a != b)
-        if t.op == "and":
-            return VBool(a.value and b.value)
-        if t.op == "or":
-            return VBool(a.value or b.value)
-        if t.op == "+":
-            return VNat(a.value + b.value)
-        if t.op == "-":
-            return VNat(max(a.value - b.value, 0))
-        if t.op == "div":
-            return VNat(a.value // b.value if b.value else 0)
-        if t.op == "mod":
-            return VNat(a.value % b.value if b.value else 0)
-        if t.op == "<":
-            return VBool(a.value < b.value)
-        raise AssertionError(t.op)
-    return eval_pure(t, {}, program)
 
 
 def _match_value(t: Term, v, env: dict[str, object], quantified: set[str]):
@@ -1318,52 +1019,38 @@ def check_rule_sampled(rule: InductionRule,
         if nodes > domain.max_nodes:
             raise BudgetExceeded(f"enumeration exceeded {domain.max_nodes} nodes")
 
+    ev = functools.partial(eval_pure, program=program)
+
+    # A DanglingRef raised by a term, a run or the oracle means the
+    # assignment lies outside the well-formed slice of the domain: run()
+    # skips it.
     def oracle_for(h: Hyp, env) -> bool:
-        args = [_eval_term(a, env, program, cap) for a in h.args]
+        args = [ev(a, env) for a in h.args]
         if h.pre is not None:
-            args += [_eval_term(h.pre, env, program, cap),
-                     _eval_term(h.post, env, program, cap)]
-        args.append(_eval_term(h.result, env, program, cap))
-        try:
-            return bool(q_oracle(*args))
-        except DanglingRef:
-            # The oracle dereferenced an unallocated id: the assignment is
-            # outside the well-formed slice of the domain.
-            raise _Unsat
+            args += [ev(h.pre, env), ev(h.post, env)]
+        args.append(ev(h.result, env))
+        return bool(q_oracle(*args))
 
     def premise_true(p: Premise, env) -> bool:
         if isinstance(p, PureEq):
-            return _eval_term(p.lhs, env, program, cap) == \
-                _eval_term(p.rhs, env, program, cap)
+            return ev(p.lhs, env) == ev(p.rhs, env)
         if isinstance(p, PureCond):
-            v = _eval_term(p.cond, env, program, cap)
-            return v.value == p.positive
+            return ev(p.cond, env).value == p.positive
         if isinstance(p, Hyp):
             return oracle_for(p, env)
         if isinstance(p, OptEq):
-            args = tuple(_eval_term(a, env, program, cap) for a in p.args)
-            try:
-                out = run_lfp(program, p.fun, args, EMPTY_HEAP, cap)
-            except DanglingRef:
-                raise _Unsat
-            want = _eval_term(p.result, env, program, cap)
+            args = tuple(ev(a, env) for a in p.args)
+            out = run_lfp(program, p.fun, args, EMPTY_HEAP, cap)
+            want = ev(p.result, env)
             return isinstance(out, OkPure) and out.value == want
         if isinstance(p, SemTriple):
-            args = tuple(_eval_term(a, env, program, cap) for a in p.args)
-            pre = _eval_term(p.pre, env, program, cap)
-            try:
-                out = run_lfp(program, p.fun, args, pre, cap)
-            except DanglingRef:
-                raise _Unsat
-            return isinstance(out, Ok) \
-                and out.value == _eval_term(p.result, env, program, cap) \
-                and out.heap == _eval_term(p.post, env, program, cap)
+            args = tuple(ev(a, env) for a in p.args)
+            out = run_lfp(program, p.fun, args, ev(p.pre, env), cap)
+            return isinstance(out, Ok) and out.value == ev(p.result, env) \
+                and out.heap == ev(p.post, env)
         if isinstance(p, HeapNew):
-            v = _eval_term(p.value, env, program, cap)
-            pre = _eval_term(p.pre, env, program, cap)
-            r, post = heap_alloc(pre, v)
-            return _eval_term(p.ref, env, program, cap) == r \
-                and _eval_term(p.post, env, program, cap) == post
+            r, post = heap_alloc(ev(p.pre, env), ev(p.value, env))
+            return ev(p.ref, env) == r and ev(p.post, env) == post
         raise MfxError(f"cannot audit premise {p}")
 
     def try_define(p: Premise, env, quantified) -> Optional[dict]:
@@ -1372,13 +1059,12 @@ def check_rule_sampled(rule: InductionRule,
         Returns an extended env, None if the premise refutes the current
         assignment, or raises _NoSolve to fall back to enumeration."""
         def bound(t: Term) -> bool:
-            return all(v in env for v in term_vars(t) if v in quantified)
+            return all(v in env for v in free_vars(t) if v in quantified)
 
         if isinstance(p, PureEq):
             for pat, other in ((p.lhs, p.rhs), (p.rhs, p.lhs)):
                 if bound(other) and not bound(pat):
-                    val = _eval_term(other, env, program, cap)
-                    m = _match_value(pat, val, env, quantified)
+                    m = _match_value(pat, ev(other, env), env, quantified)
                     if m is None and _is_pattern(pat, quantified):
                         return None
                     if m is not None:
@@ -1387,13 +1073,9 @@ def check_rule_sampled(rule: InductionRule,
         if isinstance(p, (OptEq, SemTriple)):
             pre_ok = not isinstance(p, SemTriple) or bound(p.pre)
             if all(bound(a) for a in p.args) and pre_ok:
-                args = tuple(_eval_term(a, env, program, cap) for a in p.args)
-                pre = _eval_term(p.pre, env, program, cap) \
-                    if isinstance(p, SemTriple) else EMPTY_HEAP
-                try:
-                    out = run_lfp(program, p.fun, args, pre, cap)
-                except DanglingRef:
-                    return None
+                args = tuple(ev(a, env) for a in p.args)
+                pre = ev(p.pre, env) if isinstance(p, SemTriple) else EMPTY_HEAP
+                out = run_lfp(program, p.fun, args, pre, cap)
                 if isinstance(out, (OkPure, Ok)):
                     m = _match_value(p.result, out.value, env, quantified)
                     if m is None:
@@ -1407,9 +1089,7 @@ def check_rule_sampled(rule: InductionRule,
             raise _NoSolve
         if isinstance(p, HeapNew):
             if bound(p.value) and bound(p.pre):
-                v = _eval_term(p.value, env, program, cap)
-                pre = _eval_term(p.pre, env, program, cap)
-                r, post = heap_alloc(pre, v)
+                r, post = heap_alloc(ev(p.pre, env), ev(p.value, env))
                 m = _match_value(p.ref, r, env, quantified)
                 if m is None:
                     return None
@@ -1424,7 +1104,7 @@ def check_rule_sampled(rule: InductionRule,
             out = dict(env)
             out[t.name] = h
             return out
-        return env if _eval_term(t, env, program, cap) == h else None
+        return env if ev(t, env) == h else None
 
     def _is_pattern(t: Term, quantified) -> bool:
         if isinstance(t, PVar):
@@ -1439,6 +1119,7 @@ def check_rule_sampled(rule: InductionRule,
         quantified = {n for n, _ in ob.vars}
         types = dict(ob.vars)
         prems = list(ob.premises)
+        prem_vars = [premise_vars(p) for p in prems]
 
         def enumerate_var(i: int, v: str, env: dict) -> Optional[dict]:
             for val in domain_of(types[v]):
@@ -1455,24 +1136,24 @@ def check_rule_sampled(rule: InductionRule,
                     return enumerate_var(i, unbound[0], env)
                 try:
                     ok = oracle_for(ob.conclusion, env)
-                except _Unsat:
+                except DanglingRef:
                     return None
                 return None if ok else env
             p = prems[i]
-            pv = premise_vars(p)
+            pv = prem_vars[i]
             # Quantifier order keeps enumeration (and witnesses) deterministic.
             needed = [n for n, _ in ob.vars if n in pv and n not in env]
             if not needed:
                 try:
                     holds = premise_true(p, env)
-                except _Unsat:
+                except DanglingRef:
                     return None
                 return run(i + 1, env) if holds else None
             try:
                 solved = try_define(p, env, quantified)
             except _NoSolve:
                 return enumerate_var(i, needed[0], env)
-            except _Unsat:
+            except DanglingRef:
                 return None
             if solved is None:
                 return None

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import DslTypeError, MonadError, ParseError, ScopeError
 
@@ -393,6 +393,10 @@ SYMBOLS = [
 
 _REF_LIT = re.compile(r"ref(\d+)$")
 
+# Induction rules spell explicit-heap applications as calls of these names,
+# so no definition may take them.
+HEAP_FUNS = ("get_ref", "set_ref", "new_ref_with")
+
 
 @dataclass(frozen=True)
 class Token:
@@ -535,6 +539,9 @@ class _Parser:
         if name in self.datatypes or name in self.ctors or name in self.pure_funs \
                 or name in self.monadic_funs:
             raise ScopeError(f"duplicate definition of {name!r}", tok.line, tok.col)
+        if name in HEAP_FUNS:
+            raise ScopeError(f"{name!r} is reserved for explicit-heap terms",
+                             tok.line, tok.col)
         return name
 
     def datadecl(self) -> DataDecl:
@@ -1034,6 +1041,19 @@ def _pexpr_children(p: PExpr) -> tuple[PExpr, ...]:
     return ()
 
 
+def _pexpr_map(p: PExpr, f) -> PExpr:
+    """``p`` rebuilt with ``f`` applied to each of its _pexpr_children."""
+    if isinstance(p, PCons):
+        return replace(p, head=f(p.head), tail=f(p.tail))
+    if isinstance(p, (PSome, PNot)):
+        return replace(p, arg=f(p.arg))
+    if isinstance(p, (PCtor, PCall)):
+        return replace(p, args=tuple(f(a) for a in p.args))
+    if isinstance(p, PBin):
+        return replace(p, lhs=f(p.lhs), rhs=f(p.rhs))
+    return p
+
+
 # ---------------------------------------------------------------------------
 # Alpha-renaming
 # ---------------------------------------------------------------------------
@@ -1062,17 +1082,7 @@ def _alpha_rename(d: FunDef, taken_globals: set[str]) -> FunDef:
     def rn_p(p: PExpr, env: dict[str, str]) -> PExpr:
         if isinstance(p, PVar):
             return replace(p, name=env.get(p.name, p.name))
-        if isinstance(p, PCons):
-            return replace(p, head=rn_p(p.head, env), tail=rn_p(p.tail, env))
-        if isinstance(p, PSome):
-            return replace(p, arg=rn_p(p.arg, env))
-        if isinstance(p, (PCtor, PCall)):
-            return replace(p, args=tuple(rn_p(a, env) for a in p.args))
-        if isinstance(p, PBin):
-            return replace(p, lhs=rn_p(p.lhs, env), rhs=rn_p(p.rhs, env))
-        if isinstance(p, PNot):
-            return replace(p, arg=rn_p(p.arg, env))
-        return p
+        return _pexpr_map(p, lambda c: rn_p(c, env))
 
     def rn_e(e: Expr, env: dict[str, str]) -> Expr:
         if isinstance(e, Return):
@@ -1434,20 +1444,13 @@ def parse_values(source: str, program: Program | None = None) -> list[PExpr]:
 
 def free_vars(e: Union[Expr, PExpr]) -> set[str]:
     """The set of variable names occurring free in a (pure) expression."""
+    if isinstance(e, PVar):
+        return {e.name}
     if isinstance(e, PExpr):
-        if isinstance(e, PVar):
-            return {e.name}
-        if isinstance(e, PCons):
-            return free_vars(e.head) | free_vars(e.tail)
-        if isinstance(e, PSome):
-            return free_vars(e.arg)
-        if isinstance(e, (PCtor, PCall)):
-            return set().union(*(free_vars(a) for a in e.args)) if e.args else set()
-        if isinstance(e, PBin):
-            return free_vars(e.lhs) | free_vars(e.rhs)
-        if isinstance(e, PNot):
-            return free_vars(e.arg)
-        return set()
+        out: set[str] = set()
+        for c in _pexpr_children(e):
+            out |= free_vars(c)
+        return out
     if isinstance(e, Return):
         return free_vars(e.value)
     if isinstance(e, Bind):
@@ -1620,42 +1623,46 @@ def pretty_program(prog: Program) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _alpha_p(a: PExpr, b: PExpr, env: dict[str, str]) -> bool:
+def _alpha_p(a: PExpr, b: PExpr, same_var: Callable[[str, str], bool]) -> bool:
+    """Structural equality of pure expressions; ``same_var`` decides whether
+    two variable names correspond."""
     if type(a) is not type(b):
         return False
     if isinstance(a, PVar):
-        return env.get(a.name, a.name) == b.name
+        return same_var(a.name, b.name)
     if isinstance(a, (PNat, PBool)):
         return a.value == b.value
     if isinstance(a, PRefLit):
         return a.rid == b.rid
-    if isinstance(a, PCons):
-        return _alpha_p(a.head, b.head, env) and _alpha_p(a.tail, b.tail, env)
-    if isinstance(a, PSome):
-        return _alpha_p(a.arg, b.arg, env)
-    if isinstance(a, (PCtor, PCall)):
-        return a.name == b.name and len(a.args) == len(b.args) and all(
-            _alpha_p(x, y, env) for x, y in zip(a.args, b.args))
-    if isinstance(a, PBin):
-        return a.op == b.op and _alpha_p(a.lhs, b.lhs, env) and _alpha_p(a.rhs, b.rhs, env)
-    if isinstance(a, PNot):
-        return _alpha_p(a.arg, b.arg, env)
-    return True  # PUnit, PNil, PNone
+    if isinstance(a, (PCtor, PCall)) and a.name != b.name:
+        return False
+    if isinstance(a, PBin) and a.op != b.op:
+        return False
+    ca, cb = _pexpr_children(a), _pexpr_children(b)
+    return len(ca) == len(cb) and all(
+        _alpha_p(x, y, same_var) for x, y in zip(ca, cb))
 
 
 def _alpha_e(a: Expr, b: Expr, env: dict[str, str]) -> bool:
+    """Alpha-equivalence of computations; ``env`` maps the binders of ``a``
+    in scope to those of ``b``."""
     if type(a) is not type(b):
         return False
+
+    def renamed(x: str, y: str) -> bool:
+        return env.get(x, x) == y
+
     if isinstance(a, Return):
-        return _alpha_p(a.value, b.value, env)
+        return _alpha_p(a.value, b.value, renamed)
     if isinstance(a, Bind):
         return _alpha_e(a.head, b.head, env) and \
             _alpha_e(a.body, b.body, {**env, a.var: b.var})
     if isinstance(a, If):
-        return _alpha_p(a.cond, b.cond, env) and _alpha_e(a.then, b.then, env) \
-            and _alpha_e(a.els, b.els, env)
+        return _alpha_p(a.cond, b.cond, renamed) \
+            and _alpha_e(a.then, b.then, env) and _alpha_e(a.els, b.els, env)
     if isinstance(a, Case):
-        if len(a.branches) != len(b.branches) or not _alpha_p(a.scrutinee, b.scrutinee, env):
+        if len(a.branches) != len(b.branches) \
+                or not _alpha_p(a.scrutinee, b.scrutinee, renamed):
             return False
         for (pa, ea), (pb, eb) in zip(a.branches, b.branches):
             if pa.ctor != pb.ctor or len(pa.vars) != len(pb.vars):
@@ -1667,13 +1674,14 @@ def _alpha_e(a: Expr, b: Expr, env: dict[str, str]) -> bool:
         if isinstance(a, ExtCall) and a.name != b.name:
             return False
         return len(a.args) == len(b.args) and all(
-            _alpha_p(x, y, env) for x, y in zip(a.args, b.args))
+            _alpha_p(x, y, renamed) for x, y in zip(a.args, b.args))
     if isinstance(a, RefNew):
-        return _alpha_p(a.value, b.value, env)
+        return _alpha_p(a.value, b.value, renamed)
     if isinstance(a, RefGet):
-        return _alpha_p(a.ref, b.ref, env)
+        return _alpha_p(a.ref, b.ref, renamed)
     if isinstance(a, RefSet):
-        return _alpha_p(a.ref, b.ref, env) and _alpha_p(a.value, b.value, env)
+        return _alpha_p(a.ref, b.ref, renamed) \
+            and _alpha_p(a.value, b.value, renamed)
     raise AssertionError(a)
 
 
@@ -1694,5 +1702,5 @@ def alpha_equivalent(a: Union[Program, FunDef, Expr], b) -> bool:
     if isinstance(a, Expr) and isinstance(b, Expr):
         return _alpha_e(a, b, {})
     if isinstance(a, PExpr) and isinstance(b, PExpr):
-        return _alpha_p(a, b, {})
+        return _alpha_p(a, b, str.__eq__)
     return False

@@ -123,6 +123,23 @@ class TestExitCodes:
                            "--fun", "trace", "--args", "true")
         assert code == 1
 
+    @pytest.mark.parametrize("env,argv", [
+        (None, ["eval", corpus("trace.mfx"), "--args", "6", "--fuel", "-5"]),
+        ("-3", ["eval", corpus("trace.mfx"), "--args", "6"]),
+        (None, ["audit", corpus("trace.mfx"), "--q",
+                corpus("trace_q_correct.mfx"), "--fuel", "-1"]),
+        ("-3", ["audit", corpus("trace.mfx"), "--q",
+                corpus("trace_q_correct.mfx")]),
+        (None, ["approx", corpus("trace.mfx"), "--args", "6",
+                "--max-fuel", "0"]),
+    ])
+    def test_bad_fuel_is_1(self, capsys, monkeypatch, env, argv):
+        if env is not None:
+            monkeypatch.setenv("MFX_FUEL", env)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_heap_audit_rejected(self, capsys):
         code, _, err = run(capsys, "audit", corpus("occurs.mfx"),
                            "--fun", "occurs", "--q",

@@ -2,6 +2,9 @@
 reference rules, rendering, JSON round-trips, and the sampled soundness
 audit."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from mfx.continuity import check_continuous
@@ -13,11 +16,13 @@ from mfx.induction import (BodyEq, BodySem, DomainSpec, GeneralHyp, HeapNew,
                            obligations_alpha_equivalent, raw_rule, refine,
                            refined_rule, render_rule, rule_from_json,
                            rule_to_json, rules_alpha_equivalent)
-from mfx.syntax import (BOOL, HEAP, NAT, PBin, PBool, PCall, PCons, PCtor,
-                        PNat, PNil, PNone, PSome, PVar, TData, TList, TOption,
-                        TRef, parse_program)
+from mfx.syntax import (BOOL, HEAP, NAT, UNIT, PBin, PBool, PCall, PCons,
+                        PCtor, PNat, PNil, PNone, PRefLit, PSome, PUnit, PVar,
+                        TData, TList, TOption, TRef, TVar, parse_program)
 
 from oracles import occurs_in, trace_value, walk_list
+
+GOLDEN = Path(__file__).parent / "golden"
 
 LNAT = TList(NAT)
 RTRM_REF = TRef(TData("rtrm"))
@@ -205,6 +210,13 @@ class TestRefinedGolden:
                       positive=False)),
             Hyp((PVar("m"),), PVar("m")))
         assert not obligations_alpha_equivalent(rule.obligations[2], merged)
+        # Premises compare field by field: these two hypotheses hold four
+        # terms each, in different fields.
+        vs = tuple((n, NAT) for n in ("a", "b", "c", "r"))
+        a, b, c, r = (PVar(n) for n, _ in vs)
+        assert not obligations_alpha_equivalent(
+            Obligation(vs, (), Hyp((a, b, c), r)),
+            Obligation(vs, (), Hyp((a,), r, b, c)))
 
 
 class TestRefinementMechanics:
@@ -307,6 +319,45 @@ class TestRefinementMechanics:
             "  trace(n) = Some(y) ⟹ Q(n, y)")
 
 
+# A program whose raw and refined rules use every JSON tag a program can
+# produce: every type, term, computation and premise shape.  The last rule is
+# built by hand for the two tags no program yields (reference literals and
+# type parameters).
+CODEC_SRC = """
+datatype cell = Leaf | Pair nat (ref nat)
+pure fun inc(n : nat) : nat = n + 1
+option fun half(n : nat) : nat = return (n div 2)
+option fun down(n : nat, xs : list nat) : option (list nat) =
+  if n = 0 or not (n < 100) then return Some(xs)
+  else if n = 7 then return None
+  else do m <- half(n); r <- down(m, inc(m) # xs); return r done
+heap fun bump(r : ref nat) : unit = do x <- !r; r := inc(x) done
+heap fun go(p : ref cell, k : nat, b : bool) : list nat =
+  do c <- !p;
+     case c of
+       Leaf => return []
+     | Pair(n, r) =>
+         if n < k and not (n = 0) and b then
+           do bump(r); v <- !r; s <- ref Pair(v, r); t <- go(s, k, true);
+              return (v # t) done
+         else return [n, 0]
+  done
+"""
+
+
+def codec_rules():
+    prog = parse_program(CODEC_SRC)
+    rules = [r for f in prog.fun_defs
+             for r in (raw_rule(f, prog), refined_rule(f, prog))]
+    rt = TRef(TData("box", (TVar("a"),)))
+    rules.append(InductionRule(
+        "poke", "heap", "refined", (("r", rt),), UNIT,
+        (Obligation((("r", rt), ("h", HEAP)),
+                    (PureCond(PBin("=", PVar("r"), PRefLit(3)), False),),
+                    Hyp((PVar("r"),), PUnit(), PVar("h"), PVar("h"))),)))
+    return rules
+
+
 class TestJsonRoundTrip:
     def test_refined_rules(self, trace_prog, traverse_prog, occurs_prog):
         for prog, name in ((trace_prog, "trace"), (traverse_prog, "traverse"),
@@ -318,6 +369,24 @@ class TestJsonRoundTrip:
         for prog, name in ((trace_prog, "trace"), (traverse_prog, "traverse")):
             rule = raw_rule(prog.fun_def(name), prog)
             assert rule_from_json(rule_to_json(rule)) == rule
+
+    def test_codec_golden(self):
+        rules = codec_rules()
+        text = json.dumps([rule_to_json(r) for r in rules], indent=2,
+                          ensure_ascii=False) + "\n"
+        assert text == (GOLDEN / "rule_codec.json").read_text(encoding="utf-8")
+        for r in rules:
+            assert rule_from_json(json.loads(json.dumps(rule_to_json(r)))) == r
+
+    def test_unknown_tag_rejected(self):
+        j = rule_to_json(codec_rules()[-1])
+        j["obligations"][0]["premises"][0]["tag"] = "bogus"
+        with pytest.raises(ValueError):
+            rule_from_json(j)
+        j = rule_to_json(codec_rules()[-1])
+        j["params"][0]["type"]["t"] = "bogus"
+        with pytest.raises(ValueError):
+            rule_from_json(j)
 
     def test_json_loaded_rule_cannot_refine(self, trace_prog):
         rule = raw_rule(trace_prog.fun_def("trace"), trace_prog)

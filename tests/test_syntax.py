@@ -118,6 +118,18 @@ class TestParsing:
             datatype u = A nat
             """)
 
+    @pytest.mark.parametrize("src", [
+        "pure fun get_ref(a : nat, b : nat) : nat = a + b",
+        "option fun set_ref(n : nat) : nat = return n",
+        "heap fun new_ref_with(n : nat) : nat = return n",
+        "datatype get_ref = A",
+        "datatype t = A | set_ref",
+    ])
+    def test_heap_function_names_reserved(self, src):
+        # Induction rules spell explicit-heap applications with these names.
+        with pytest.raises(ScopeError, match="reserved"):
+            parse_program(src)
+
     def test_case_must_be_exhaustive(self):
         with pytest.raises(DslTypeError):
             parse_program("""
