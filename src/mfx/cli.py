@@ -15,8 +15,10 @@ per line plus ``next=n``.
 
 The audit predicate file is a small DSL program whose last definition must
 be ``option fun q(<function params>, <result>) : bool``; the audit runs it
-with the fuel cap, so reference recursions are allowed.  Heap-monad rules
-need predicates over heaps and are audited through the library API instead.
+with the fuel cap, so reference recursions are allowed.  A run of q that
+does not terminate within the cap is an error (exit 1), not a false
+verdict.  Heap-monad rules need predicates over heaps and are audited
+through the library API instead.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import sys
 from pathlib import Path
 
 from .continuity import ContinuityFailure, check_continuous, explain
-from .domain import EMPTY_HEAP, OkPure, VBool, heap_closed, parse_heap, render_outcome
+from .domain import EMPTY_HEAP, VBool, heap_closed, parse_heap, render_outcome
 from .errors import MfxError, StaticError
 from .evaluator import (DEFAULT_FUEL_CAP, Diverged, approx_chain, run_lfp)
 from .induction import (DomainSpec, check_rule_sampled, raw_rule, refine,
@@ -205,7 +207,10 @@ def _q_oracle_from_spec(path: str, fundef, cap: int):
 
     def oracle(*vals) -> bool:
         out = run_lfp(qprog, "q", vals, EMPTY_HEAP, cap)
-        return isinstance(out, OkPure) and out.value == VBool(True)
+        if isinstance(out, Diverged):
+            raise MfxError(f"the audit predicate q({', '.join(map(str, vals))}) "
+                           f"did not terminate within fuel cap {cap}")
+        return out.value == VBool(True)
 
     return oracle
 

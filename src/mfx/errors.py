@@ -56,6 +56,10 @@ class ChainViolation(MfxError):
     """Consecutive approximants were not ordered; indicates an evaluator bug."""
 
 
+class TooDeep(MfxError):
+    """A run nested deeper than Python's recursion limit before reaching its fuel cap."""
+
+
 class NotContinuous(MfxError):
     """An induction rule was requested for a body that failed the continuity check."""
 

@@ -3,9 +3,14 @@
 The i-th approximant of a recursive definition is evaluation with a
 recursion-depth budget of i: at fuel 0 the approximant is bottom everywhere,
 and at fuel i+1 the body runs with recursive calls evaluated at fuel i.
-Running the least fixed point iterates fuel upward until the (flat,
-per-input) chain of outcomes stabilizes or a cap is reached; hitting the cap
-reports Diverged, which is a result kind, not an error.
+At a fixed input the chain of approximants is flat: it leaves bottom at
+most once, at the stabilization index s, and stays at one value from there
+on.  So if any approximant up to a cap is defined, the approximant at the
+cap is that value and it is the least upper bound; the least fixed point is
+read off one evaluation at the cap.  A terminating run does the same work
+at the cap as at s, so for a recursion with one self-call per unfolding the
+cost is linear in s, or in the cap when the run diverges.  A bottom result
+at the cap is reported as Diverged, which is a result kind, not an error.
 
 Calls of previously defined functions run at the caller's current fuel:
 earlier definitions are already their own fixed points, so giving them the
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 from .domain import (BOTTOM, Chain, Heap, Ok, OkPure, Outcome, UNIT_V,
                      VBool, VCtor, VList, VNat, VNone, VRef, VSome, Value,
                      heap_alloc, heap_get, heap_set, outcome_le)
-from .errors import ChainViolation, DslTypeError
+from .errors import ChainViolation, DslTypeError, TooDeep
 from .syntax import (Bind, Case, Expr, ExtCall, FunDef, If, PBin, PCall,
                      PCons, PCtor, PExpr, PNat, PNil, PNone, PNot, PBool,
                      PRefLit, Program, PSome, PUnit, PVar, RefGet, RefNew,
@@ -267,17 +272,22 @@ def approx_chain(program: Program, fun_name: str, args, h: Heap,
 
 def run_lfp(program: Program, fun_name: str, args, h: Heap,
             fuel_cap: int = DEFAULT_FUEL_CAP) -> Outcome | Diverged:
-    """Iterate fuel upward until the per-input chain stabilizes.
+    """The least fixed point at (args, h), or Diverged(fuel_cap).
 
-    Per-input chains in both monads are flat, so the first non-Bottom
-    outcome is the least upper bound of the whole chain.
+    The per-input chain is flat in both monads, so the approximant at the
+    cap equals the first non-Bottom approximant whenever one exists at or
+    below the cap: one evaluation at the cap yields the lub.  For a
+    recursion with one self-call per unfolding the cost is linear in the
+    stabilization index, or in the cap when the run diverges.
+    Raises TooDeep when the cap lets the run nest deeper than Python's
+    recursion limit.
     """
-    args = tuple(args)
-    for fuel in range(fuel_cap + 1):
-        out = eval_approx(Approximant(program, fun_name, fuel), args, h)
-        if out != BOTTOM:
-            return out
-    return Diverged(fuel_cap)
+    try:
+        out = eval_approx(Approximant(program, fun_name, fuel_cap), tuple(args), h)
+    except RecursionError:
+        raise TooDeep(f"fuel cap {fuel_cap} nests the run deeper than the "
+                      "evaluator can go; use a smaller cap") from None
+    return Diverged(fuel_cap) if out == BOTTOM else out
 
 
 def in_semantics(program: Program, t_fun: str, args, h: Heap, h2: Heap,

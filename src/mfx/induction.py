@@ -999,6 +999,9 @@ def check_rule_sampled(rule: InductionRule,
     (b) the conclusion is brute-forced independently: wherever the function
     terminates on an enumerated input, the oracle must hold.
 
+    The domain of each type is enumerated once per call and reused by every
+    obligation and by the conclusion.
+
     ObligationsHold together with ConclusionHolds is the desk-scale shadow
     of the rule's soundness.  Raises BudgetExceeded past max_nodes.
     """
@@ -1010,8 +1013,12 @@ def check_rule_sampled(rule: InductionRule,
     cap = fuel_cap if fuel_cap is not None else domain.fuel_cap
     nodes = 0
 
+    domains: dict[Type, list[Value]] = {}
+
     def domain_of(ty: Type) -> list[Value]:
-        return enum_values(ty, domain, program)
+        if ty not in domains:
+            domains[ty] = enum_values(ty, domain, program)
+        return domains[ty]
 
     def bump():
         nonlocal nodes

@@ -4,6 +4,9 @@ Every (command x corpus example) pair has a frozen golden file; comparison
 is byte-exact.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -139,6 +142,38 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fuel", [0, 1])
+    def test_diverging_audit_predicate_is_1(self, capsys, fuel):
+        # q runs its helper tracespec at the audit's cap; a run of q that
+        # does not terminate is no verdict on the rule.
+        code, out, err = run(capsys, "audit", corpus("trace.mfx"),
+                             "--q", corpus("trace_q_correct.mfx"),
+                             "--fuel", str(fuel))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "q(" in err and f"fuel cap {fuel}" in err
+
+    @pytest.mark.parametrize("env,argv,code,stdout", [
+        (None, ["--fuel", "100000"], 1, ""),
+        ("100000", [], 1, ""),
+        (None, ["--fuel", "20000"], 2, "Diverged(20000)\n"),
+    ], ids=["fuel-100000", "env-100000", "fuel-20000"])
+    def test_deep_cyclic_run(self, env, argv, code, stdout):
+        # In a fresh interpreter, so the run starts at the bottom of the stack.
+        environ = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        environ.pop("MFX_FUEL", None)
+        if env is not None:
+            environ["MFX_FUEL"] = env
+        done = subprocess.run(
+            [sys.executable, "-m", "mfx.cli", "eval", corpus("traverse.mfx"),
+             "--args", "Node(7, ref0)", "--heap", corpus("cyclic.heap"), *argv],
+            env=environ, capture_output=True, text=True, timeout=120)
+        assert done.returncode == code and done.stdout == stdout
+        assert "Traceback" not in done.stderr
+        if code == 1:
+            assert done.stderr.startswith("error: ")
+            assert done.stderr.count("\n") == 1 and "100000" in done.stderr
 
     def test_heap_audit_rejected(self, capsys):
         code, _, err = run(capsys, "audit", corpus("occurs.mfx"),

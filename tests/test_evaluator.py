@@ -2,6 +2,7 @@
 fixed-point equation at desk scale, divergence, and the monad laws."""
 
 import random
+import time
 
 import pytest
 
@@ -22,6 +23,22 @@ def node(x, rid):
 
 
 EMPTY_NODE = VCtor("Empty", ())
+
+WRITE_SRC = """
+heap fun bump(r : ref nat) : nat =
+  do x <- !r; r := x + 1; return x done
+"""
+
+ALLOC_SRC = """
+heap fun fresh(n : nat) : ref nat = ref n
+"""
+
+EXTCALL_SRC = """
+option fun count(n : nat) : nat =
+  if n = 0 then return 0
+  else do t <- count(n - 1); return (t + 1) done
+option fun wrap(n : nat) : nat = count(n)
+"""
 
 
 class TestTrace:
@@ -166,12 +183,7 @@ class TestChainsAndFixpoint:
         assert a == b
 
     def test_extcall_runs_at_caller_fuel(self):
-        prog = parse_program("""
-        option fun count(n : nat) : nat =
-          if n = 0 then return 0
-          else do t <- count(n - 1); return (t + 1) done
-        option fun wrap(n : nat) : nat = count(n)
-        """)
+        prog = parse_program(EXTCALL_SRC)
         # count(3) stabilizes at fuel 4; the callee runs at the caller's
         # remaining budget, so wrap(3) stabilizes at the same index.
         assert run_lfp(prog, "count", (VNat(3),), EMPTY_HEAP, 10) == OkPure(VNat(3))
@@ -183,20 +195,80 @@ class TestChainsAndFixpoint:
                            EMPTY_HEAP) == OkPure(VNat(3))
 
 
+def _lfp_matches_chain(prog, fun, args, h, max_fuel):
+    """run_lfp against the chain of approx_chain: the chain's first defined
+    element at caps s and s + 3, Diverged just below s, and Diverged(cap)
+    for a chain that stays bottom.  Returns s, or None for an all-bottom
+    chain."""
+    chain = approx_chain(prog, fun, args, h, max_fuel).elems
+    defined = [i for i, o in enumerate(chain) if o != BOTTOM]
+    if not defined:
+        assert run_lfp(prog, fun, args, h, max_fuel) == Diverged(max_fuel)
+        return None
+    s = defined[0]
+    for cap in (s, s + 3):
+        assert run_lfp(prog, fun, args, h, cap) == chain[s], (fun, args, cap)
+    assert run_lfp(prog, fun, args, h, s - 1) == Diverged(s - 1), (fun, args)
+    return s
+
+
+class TestLfpAgainstChain:
+    """run_lfp evaluates once at the cap; approx_chain is the reference."""
+
+    def test_trace(self, trace_prog):
+        indices = {_lfp_matches_chain(trace_prog, "trace", (VNat(n),),
+                                      EMPTY_HEAP, 12) for n in range(41)}
+        assert None not in indices and max(indices) == 7
+
+    def test_traverse(self, traverse_prog, acyclic_heap, cyclic_heap):
+        assert _lfp_matches_chain(traverse_prog, "traverse", (node(1, 0),),
+                                  acyclic_heap, 8) == 3
+        assert _lfp_matches_chain(traverse_prog, "traverse", (EMPTY_NODE,),
+                                  acyclic_heap, 8) == 1
+        assert _lfp_matches_chain(traverse_prog, "traverse", (node(7, 0),),
+                                  cyclic_heap, 12) is None
+
+    def test_occurs(self, occurs_prog, shared_heap, cyclic_term_heap):
+        for h in (shared_heap, cyclic_term_heap):
+            indices = [_lfp_matches_chain(occurs_prog, "occurs",
+                                          (VRef(a), VRef(b)), h, 12)
+                       for a in range(h.next_id) for b in range(h.next_id)]
+            assert any(s is not None for s in indices)
+        # On the cyclic term, occurs(r, ref1) and occurs(r, ref2) loop
+        # unless r is ref1.
+        assert indices.count(None) == 4
+
+    def test_heap_and_extcall_programs(self):
+        h = Heap(((0, VNat(41)),), 1)
+        assert _lfp_matches_chain(parse_program(WRITE_SRC), "bump",
+                                  (VRef(0),), h, 4) == 1
+        assert _lfp_matches_chain(parse_program(ALLOC_SRC), "fresh",
+                                  (VNat(9),), EMPTY_HEAP, 4) == 1
+        prog = parse_program(EXTCALL_SRC)
+        for fun in ("count", "wrap"):
+            for n in range(6):
+                assert _lfp_matches_chain(prog, fun, (VNat(n),), EMPTY_HEAP,
+                                          9) == n + 1
+
+    def test_divergence_cost_is_linear_in_the_cap(self, traverse_prog,
+                                                  cyclic_heap):
+        # Re-evaluating every fuel up to the cap would take about 80 s here.
+        start = time.perf_counter()
+        out = run_lfp(traverse_prog, "traverse", (node(7, 0),), cyclic_heap,
+                      3000)
+        assert out == Diverged(3000)
+        assert time.perf_counter() - start < 10
+
+
 class TestHeapPrograms:
     def test_write_program(self):
-        prog = parse_program("""
-        heap fun bump(r : ref nat) : nat =
-          do x <- !r; r := x + 1; return x done
-        """)
+        prog = parse_program(WRITE_SRC)
         h = Heap(((0, VNat(41)),), 1)
         out = run_lfp(prog, "bump", (VRef(0),), h, 10)
         assert out == Ok(VNat(41), Heap(((0, VNat(42)),), 1))
 
     def test_alloc_program(self):
-        prog = parse_program("""
-        heap fun fresh(n : nat) : ref nat = ref n
-        """)
+        prog = parse_program(ALLOC_SRC)
         out = run_lfp(prog, "fresh", (VNat(9),), EMPTY_HEAP, 10)
         assert out == Ok(VRef(0), Heap(((0, VNat(9)),), 1))
 
