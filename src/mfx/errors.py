@@ -3,7 +3,9 @@
 Static errors (parse, scope, monad, type) carry a source position so the
 CLI can report ``line:col``.  Runtime errors (dangling references, chain
 violations) signal internal invariant breaches; well-formed programs cannot
-trigger them.
+trigger them.  Divergence is not an error: a run that reaches its fuel cap
+yields the result Diverged, at any cap, since the evaluator keeps pending
+binds on its own stack and not on Python's.
 """
 
 from __future__ import annotations
@@ -54,10 +56,6 @@ class NotStabilized(MfxError):
 
 class ChainViolation(MfxError):
     """Consecutive approximants were not ordered; indicates an evaluator bug."""
-
-
-class TooDeep(MfxError):
-    """A run nested deeper than Python's recursion limit before reaching its fuel cap."""
 
 
 class NotContinuous(MfxError):

@@ -19,26 +19,33 @@ keeping a single cap.
 
 Option-monad runs never touch the heap argument and yield OkPure outcomes;
 heap-monad runs thread a persistent heap and yield Ok(value, heap).
+
+Every definition is compiled once per Program object, on first use, and
+the code is kept in ``Program.compiled``.  Pure expressions and rule terms
+become closures from an environment to a value (closure generation).  Pure
+code cannot recurse, so its nesting is bounded by the program text.  A
+monadic body becomes a step function, and one loop runs the steps over an
+explicit stack of pending binds: the CEK machine obtained by
+defunctionalizing a direct-style evaluator.  A recursive call is a jump of
+that loop, not a Python call, so the depth of a run is bounded by memory
+alone.  Bottom propagates through every bind of both monads, so a self-call
+at fuel 0 ends the whole run.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .domain import (BOTTOM, Chain, Heap, Ok, OkPure, Outcome, UNIT_V,
-                     VBool, VCtor, VList, VNat, VNone, VRef, VSome, Value,
-                     heap_alloc, heap_get, heap_set, outcome_le)
-from .errors import ChainViolation, DslTypeError, TooDeep
-from .syntax import (Bind, Case, Expr, ExtCall, FunDef, If, PBin, PCall,
-                     PCons, PCtor, PExpr, PNat, PNil, PNone, PNot, PBool,
-                     PRefLit, Program, PSome, PUnit, PVar, RefGet, RefNew,
-                     RefSet, Return, SelfCall)
-
-# Deep fuel values nest one Python frame set per unfolding; raise the
-# interpreter limit so a divergence probe at the default cap cannot blow
-# the stack before reporting Diverged.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 150_000))
+from .domain import (BOTTOM, FALSE, TRUE, Chain, Heap, Ok, OkPure, Outcome,
+                     UNIT_V, VCtor, VList, VNat, VNone, VSome, Value,
+                     heap_alloc, heap_get, heap_set, outcome_le, pexpr_to_value)
+from .errors import ChainViolation, DslTypeError
+from .syntax import (Bind, Case, Expr, ExtCall, If, PBin, PCall, PCons,
+                     PCtor, PExpr, PNat, PNil, PNone, PNot, PBool, PRefLit,
+                     Program, PSome, PUnit, PVar, RefGet, RefNew, RefSet,
+                     Return, SelfCall)
 
 DEFAULT_FUEL_CAP = 1000
 
@@ -64,102 +71,264 @@ class Diverged:
 
 
 # ---------------------------------------------------------------------------
-# Pure evaluation (total)
+# Pure code (total): closures from an environment to a value
 # ---------------------------------------------------------------------------
 
+if TYPE_CHECKING:  # a runtime alias would pin Value in typing's cache
+    PureCode = Callable[[dict], Value]
+    Step = Callable[..., tuple]
 
-def eval_pure(p: PExpr, env: dict[str, Value], program: Program) -> Value:
-    """Evaluate a pure expression or an induction-rule term.
+
+def _div(a: int, b: int) -> VNat:
+    return VNat(a // b if b else 0)
+
+
+def _mod(a: int, b: int) -> VNat:
+    return VNat(a % b if b else 0)
+
+
+# Operator -> closure over the compiled operands.  Both operands of ``and``
+# and ``or`` are evaluated (``&`` and ``|`` on bools do not short-circuit).
+_BINOPS = {
+    "=": lambda l, r: lambda env: TRUE if l(env) == r(env) else FALSE,
+    "≠": lambda l, r: lambda env: FALSE if l(env) == r(env) else TRUE,
+    "and": lambda l, r: lambda env: TRUE if l(env).value & r(env).value else FALSE,
+    "or": lambda l, r: lambda env: TRUE if l(env).value | r(env).value else FALSE,
+    "<": lambda l, r: lambda env: TRUE if l(env).value < r(env).value else FALSE,
+    "+": lambda l, r: lambda env: VNat(l(env).value + r(env).value),
+    "-": lambda l, r: lambda env: VNat(max(l(env).value - r(env).value, 0)),
+    "div": lambda l, r: lambda env: _div(l(env).value, r(env).value),
+    "mod": lambda l, r: lambda env: _mod(l(env).value, r(env).value),
+}
+
+_LITERALS = (PNat, PBool, PUnit, PNil, PNone, PRefLit)
+
+
+def _binder(names: tuple[str, ...], args: tuple[PureCode, ...]) -> PureCode:
+    """A closure from the caller's environment to a callee's, which binds
+    each parameter to its evaluated argument, left to right."""
+    if len(names) == len(args) == 1:
+        (name,), (arg,) = names, args
+        return lambda env: {name: arg(env)}
+    pairs = tuple(zip(names, args))
+    return lambda env: {name: arg(env) for name, arg in pairs}
+
+
+def compile_pure(p: PExpr, program: Program) -> PureCode:
+    """Compile a pure expression or an induction-rule term to a closure
+    from an environment to its value.
 
     div and mod by zero yield 0, and natural subtraction truncates at zero,
     mirroring totalized arithmetic.  Both operands of ``and`` and ``or`` are
     evaluated.  Rule terms may bind variables to heaps and apply the
     reserved ``get_ref(r, h)`` and ``set_ref(r, v, h)``, which evaluate with
     heap_get and heap_set and raise DanglingRef on an unallocated id; every
-    other expression is total on well-typed inputs.
+    other expression is total on well-typed inputs.  A call of a pure
+    definition calls that definition's code, compiled once per program.
     """
     if isinstance(p, PVar):
-        return env[p.name]
-    if isinstance(p, PNat):
-        return VNat(p.value)
-    if isinstance(p, PBool):
-        return VBool(p.value)
-    if isinstance(p, PUnit):
-        return UNIT_V
-    if isinstance(p, PNil):
-        return VList(())
-    if isinstance(p, PCons):
-        head = eval_pure(p.head, env, program)
-        tail = eval_pure(p.tail, env, program)
-        assert isinstance(tail, VList)
-        return VList((head,) + tail.items)
-    if isinstance(p, PNone):
-        return VNone()
-    if isinstance(p, PSome):
-        return VSome(eval_pure(p.arg, env, program))
-    if isinstance(p, PCtor):
-        return VCtor(p.name, tuple(eval_pure(a, env, program) for a in p.args))
-    if isinstance(p, PCall):
-        args = [eval_pure(a, env, program) for a in p.args]
-        if p.name == "get_ref":
-            return heap_get(args[1], args[0])
-        if p.name == "set_ref":
-            return heap_set(args[2], args[0], args[1])
-        d = program.pure_def(p.name)
-        return eval_pure(d.body, {name: v for (name, _), v in zip(d.params, args)},
-                         program)
-    if isinstance(p, PRefLit):
-        return VRef(p.rid)
-    if isinstance(p, PNot):
-        v = eval_pure(p.arg, env, program)
-        assert isinstance(v, VBool)
-        return VBool(not v.value)
+        return itemgetter(p.name)
+    if isinstance(p, _LITERALS) or isinstance(p, PCtor) and not p.args:
+        v = pexpr_to_value(p)
+        return lambda env: v
     if isinstance(p, PBin):
-        lhs = eval_pure(p.lhs, env, program)
-        rhs = eval_pure(p.rhs, env, program)
-        if p.op == "=":
-            return VBool(lhs == rhs)
-        if p.op == "≠":
-            return VBool(lhs != rhs)
-        a, b = lhs.value, rhs.value
-        if p.op == "and":
-            return VBool(a and b)
-        if p.op == "or":
-            return VBool(a or b)
-        assert isinstance(lhs, VNat) and isinstance(rhs, VNat)
-        if p.op == "+":
-            return VNat(a + b)
-        if p.op == "-":
-            return VNat(max(a - b, 0))
-        if p.op == "div":
-            return VNat(a // b if b else 0)
-        if p.op == "mod":
-            return VNat(a % b if b else 0)
-        if p.op == "<":
-            return VBool(a < b)
+        return _BINOPS[p.op](compile_pure(p.lhs, program),
+                             compile_pure(p.rhs, program))
+    if isinstance(p, PCons):
+        head, tail = compile_pure(p.head, program), compile_pure(p.tail, program)
+        return lambda env: VList((head(env),) + tail(env).items)
+    if isinstance(p, PSome):
+        arg = compile_pure(p.arg, program)
+        return lambda env: VSome(arg(env))
+    if isinstance(p, PNot):
+        arg = compile_pure(p.arg, program)
+        return lambda env: FALSE if arg(env).value else TRUE
+    args = tuple(compile_pure(a, program) for a in p.args)
+    if isinstance(p, PCtor):
+        name = p.name
+        return lambda env: VCtor(name, tuple([a(env) for a in args]))
+    if isinstance(p, PCall):
+        if p.name == "get_ref":
+            r, h = args
+            return lambda env: heap_get(h(env), r(env))
+        if p.name == "set_ref":
+            r, v, h = args
+            return lambda env: heap_set(h(env), r(env), v(env))
+        body, params = _pure_def(program, p.name)
+        bind = _binder(params, args)
+        return lambda env: body(bind(env))
     raise AssertionError(p)
 
 
-def _match(pat_ctor: str, pat_vars: tuple[str, ...], v: Value):
-    if pat_ctor == "None":
-        return {} if isinstance(v, VNone) else None
-    if pat_ctor == "Some":
-        return {pat_vars[0]: v.value} if isinstance(v, VSome) else None
-    if isinstance(v, VCtor) and v.name == pat_ctor:
-        return dict(zip(pat_vars, v.args))
-    return None
+def _pure_def(program: Program, name: str) -> tuple[PureCode, tuple[str, ...]]:
+    """The compiled body and the parameter names of a pure definition."""
+    key = ("pure", name)
+    code = program.compiled.get(key)
+    if code is None:
+        d = program.pure_def(name)
+        code = program.compiled[key] = (compile_pure(d.body, program),
+                                        tuple(n for n, _ in d.params))
+    return code
+
+
+def eval_pure(p: PExpr, env: dict[str, Value], program: Program) -> Value:
+    """Evaluate a pure expression or an induction-rule term once.
+
+    Compiles ``p`` with compile_pure and applies the code to ``env``; a
+    caller that evaluates one term many times should compile it once.
+    """
+    return compile_pure(p, program)(env)
 
 
 # ---------------------------------------------------------------------------
-# Monadic evaluation
+# Monadic code: steps run by one loop over an explicit stack
 # ---------------------------------------------------------------------------
+#
+# A step is called as step(push, env, h, fuel, fn) and returns the next
+# machine state (code, x, h, fuel, fn).  fn is the body of the function
+# being run, which a self-call re-enters, and fuel is the budget left for
+# its recursive calls.  When code is None, x is the value just returned;
+# otherwise x is the environment that code runs in.  A bind calls push to
+# save its pending body as the frame (body, var, env, fuel, fn), and the
+# loop resumes the innermost frame with each returned value.  If and case
+# call their branch directly, and a bind its head: that nesting is bounded
+# by the program text.  Code refers to its own function only through fn,
+# so compiled code holds no reference cycle.
 
 
-def _check_args(fundef: FunDef, args: tuple[Value, ...]):
-    if len(args) != len(fundef.params):
+class _Fun(NamedTuple):
+    """A compiled monadic definition."""
+
+    body: Step
+    params: tuple[str, ...]
+    is_heap: bool
+
+
+class _Bottom(Exception):
+    """A self-call at fuel 0: bottom, which ends the whole run."""
+
+
+def _fun(program: Program, name: str) -> _Fun:
+    """The compiled code of a monadic definition."""
+    key = ("fun", name)
+    f = program.compiled.get(key)
+    if f is None:
+        d = program.fun_def(name)
+        params = tuple(n for n, _ in d.params)
+        f = program.compiled[key] = _Fun(_compile_expr(d.body, params, program),
+                                         params, d.monad == "heap")
+    return f
+
+
+def _constructor(v: Value) -> tuple[str | None, tuple[Value, ...]]:
+    """The constructor name and the arguments of a value a case splits on."""
+    t = type(v)
+    if t is VCtor:
+        return v.name, v.args
+    if t is VSome:
+        return "Some", (v.value,)
+    return ("None" if t is VNone else None), ()
+
+
+def _compile_expr(e: Expr, params: tuple[str, ...], program: Program) -> Step:
+    """Compile a monadic body whose function has the given parameters."""
+    def pure(p: PExpr) -> PureCode:
+        return compile_pure(p, program)
+
+    def comp(sub: Expr) -> Step:
+        return _compile_expr(sub, params, program)
+
+    if isinstance(e, Return):
+        v = pure(e.value)
+        return lambda push, env, h, fuel, fn: (None, v(env), h, fuel, fn)
+    if isinstance(e, Bind):
+        var, head, body = e.var, comp(e.head), comp(e.body)
+
+        def bind(push, env, h, fuel, fn):
+            push((body, var, env, fuel, fn))
+            return head(push, env, h, fuel, fn)
+        return bind
+    if isinstance(e, If):
+        cond, then, els = pure(e.cond), comp(e.then), comp(e.els)
+        return lambda push, env, h, fuel, fn: \
+            (then if cond(env).value else els)(push, env, h, fuel, fn)
+    if isinstance(e, Case):
+        scrut = pure(e.scrutinee)
+        branches: dict[str, tuple[tuple[str, ...], Step]] = {}
+        for pat, body in e.branches:
+            branches.setdefault(pat.ctor, (pat.vars, comp(body)))
+
+        def case(push, env, h, fuel, fn):
+            v = scrut(env)
+            ctor, args = _constructor(v)
+            if ctor not in branches:
+                raise AssertionError(f"no branch matched {v}")
+            names, body = branches[ctor]
+            if names:
+                env = env.copy()
+                env.update(zip(names, args))
+            return body(push, env, h, fuel, fn)
+        return case
+    if isinstance(e, SelfCall):
+        bind_args = _binder(params, tuple(map(pure, e.args)))
+
+        def self_call(push, env, h, fuel, fn):
+            if fuel <= 0:
+                raise _Bottom
+            return fn, bind_args(env), h, fuel - 1, fn
+        return self_call
+    if isinstance(e, ExtCall):
+        # Earlier definitions get the whole remaining budget: at fuel f
+        # the callee's own iterate runs at index f + 1.
+        callee = _fun(program, e.name)
+        callee_body = callee.body
+        bind_args = _binder(callee.params, tuple(map(pure, e.args)))
+        return lambda push, env, h, fuel, fn: \
+            (callee_body, bind_args(env), h, fuel, callee_body)
+    if isinstance(e, RefNew):
+        v = pure(e.value)
+
+        def ref_new(push, env, h, fuel, fn):
+            r, h = heap_alloc(h, v(env))
+            return None, r, h, fuel, fn
+        return ref_new
+    if isinstance(e, RefGet):
+        r = pure(e.ref)
+        return lambda push, env, h, fuel, fn: \
+            (None, heap_get(h, r(env)), h, fuel, fn)
+    if isinstance(e, RefSet):
+        r, v = pure(e.ref), pure(e.value)
+        return lambda push, env, h, fuel, fn: \
+            (None, UNIT_V, heap_set(h, r(env), v(env)), fuel, fn)
+    raise AssertionError(e)
+
+
+def _run(f: _Fun, args: tuple[Value, ...], h: Heap, fuel: int) -> Outcome:
+    """Run f's body on args and h, with recursive calls at the given fuel."""
+    stack: list[tuple] = []
+    push, pop = stack.append, stack.pop
+    code = fn = f.body
+    x = dict(zip(f.params, args))
+    try:
+        while True:
+            code, x, h, fuel, fn = code(push, x, h, fuel, fn)
+            if code is None:
+                if not stack:
+                    break
+                code, var, env, fuel, fn = pop()
+                x = {**env, var: x}
+    except _Bottom:
+        return BOTTOM
+    return Ok(x, h) if f.is_heap else OkPure(x)
+
+
+def _entry(program: Program, fun_name: str, args: tuple[Value, ...]) -> _Fun:
+    f = _fun(program, fun_name)
+    if len(args) != len(f.params):
         raise DslTypeError(
-            f"{fundef.name!r} expects {len(fundef.params)} argument(s), "
+            f"{fun_name!r} expects {len(f.params)} argument(s), "
             f"got {len(args)}")
+    return f
 
 
 def eval_approx(a: Approximant, args: tuple[Value, ...], h: Heap) -> Outcome:
@@ -168,12 +337,11 @@ def eval_approx(a: Approximant, args: tuple[Value, ...], h: Heap) -> Outcome:
     At fuel 0 the result is Bottom without looking at the body.  Option
     functions ignore the heap and return OkPure or Bottom.
     """
-    fundef = a.program.fun_def(a.fun_name)
-    _check_args(fundef, tuple(args))
+    args = tuple(args)
+    f = _entry(a.program, a.fun_name, args)
     if a.fuel <= 0:
         return BOTTOM
-    env = {name: v for (name, _), v in zip(fundef.params, args)}
-    return _eval_body(a.program, fundef, env, h, a.fuel - 1)
+    return _run(f, args, h, a.fuel - 1)
 
 
 def unfold_once(program: Program, fun_name: str, args: tuple[Value, ...],
@@ -184,66 +352,8 @@ def unfold_once(program: Program, fun_name: str, args: tuple[Value, ...],
     stabilization point it must reproduce the stabilized outcome (the
     fixed-point equation at desk scale).
     """
-    fundef = program.fun_def(fun_name)
-    _check_args(fundef, tuple(args))
-    env = {name: v for (name, _), v in zip(fundef.params, args)}
-    return _eval_body(program, fundef, env, h, fuel)
-
-
-def _eval_body(program: Program, fundef: FunDef, env: dict[str, Value],
-               h: Heap, fuel: int) -> Outcome:
-    is_heap = fundef.monad == "heap"
-
-    def go(e: Expr, env: dict[str, Value], h: Heap) -> Outcome:
-        if isinstance(e, Return):
-            v = eval_pure(e.value, env, program)
-            return Ok(v, h) if is_heap else OkPure(v)
-        if isinstance(e, Bind):
-            out = go(e.head, env, h)
-            if out == BOTTOM:
-                return BOTTOM
-            if is_heap:
-                return go(e.body, {**env, e.var: out.value}, out.heap)
-            return go(e.body, {**env, e.var: out.value}, h)
-        if isinstance(e, If):
-            c = eval_pure(e.cond, env, program)
-            assert isinstance(c, VBool)
-            return go(e.then if c.value else e.els, env, h)
-        if isinstance(e, Case):
-            scrut = eval_pure(e.scrutinee, env, program)
-            for pat, body in e.branches:
-                binds = _match(pat.ctor, pat.vars, scrut)
-                if binds is not None:
-                    return go(body, {**env, **binds}, h)
-            raise AssertionError(f"no branch matched {scrut}")
-        if isinstance(e, SelfCall):
-            if fuel <= 0:
-                return BOTTOM
-            vals = tuple(eval_pure(a, env, program) for a in e.args)
-            inner = {name: v for (name, _), v in zip(fundef.params, vals)}
-            return _eval_body(program, fundef, inner, h, fuel - 1)
-        if isinstance(e, ExtCall):
-            callee = program.fun_def(e.name)
-            vals = tuple(eval_pure(a, env, program) for a in e.args)
-            # Earlier definitions get the whole remaining budget: at fuel f
-            # the callee's own iterate runs at index f.
-            return eval_approx(Approximant(program, e.name, fuel + 1), vals, h)
-        if isinstance(e, RefNew):
-            v = eval_pure(e.value, env, program)
-            r, h2 = heap_alloc(h, v)
-            return Ok(r, h2)
-        if isinstance(e, RefGet):
-            r = eval_pure(e.ref, env, program)
-            assert isinstance(r, VRef)
-            return Ok(heap_get(h, r), h)
-        if isinstance(e, RefSet):
-            r = eval_pure(e.ref, env, program)
-            assert isinstance(r, VRef)
-            v = eval_pure(e.value, env, program)
-            return Ok(UNIT_V, heap_set(h, r, v))
-        raise AssertionError(e)
-
-    return go(fundef.body, env, h)
+    args = tuple(args)
+    return _run(_entry(program, fun_name, args), args, h, fuel)
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +388,11 @@ def run_lfp(program: Program, fun_name: str, args, h: Heap,
     cap equals the first non-Bottom approximant whenever one exists at or
     below the cap: one evaluation at the cap yields the lub.  For a
     recursion with one self-call per unfolding the cost is linear in the
-    stabilization index, or in the cap when the run diverges.
-    Raises TooDeep when the cap lets the run nest deeper than Python's
-    recursion limit.
+    stabilization index, or in the cap when the run diverges.  Pending
+    binds live on the evaluator's own stack, so any cap runs; a large one
+    costs only time and memory.
     """
-    try:
-        out = eval_approx(Approximant(program, fun_name, fuel_cap), tuple(args), h)
-    except RecursionError:
-        raise TooDeep(f"fuel cap {fuel_cap} nests the run deeper than the "
-                      "evaluator can go; use a smaller cap") from None
+    out = eval_approx(Approximant(program, fun_name, fuel_cap), tuple(args), h)
     return Diverged(fuel_cap) if out == BOTTOM else out
 
 

@@ -29,15 +29,15 @@ calls of the reserved names ``get_ref``, ``set_ref``, and ``new_ref_with``.
 check_rule_sampled is a desk-scale audit, not a prover: it enumerates the
 quantified variables of each obligation over small bounded domains and,
 independently, brute-forces the rule's conclusion against an executable
-predicate.  It evaluates rule terms with the evaluator's eval_pure, which
-applies get_ref and set_ref through heap_get and heap_set and evaluates both
-operands of ``and`` and ``or``; an assignment under which any term, run or
-predicate reads a dangling reference lies outside the domain and is skipped.
+predicate.  It compiles each rule term once per audit with the evaluator's
+compile_pure, whose code applies get_ref and set_ref through heap_get and
+heap_set and evaluates both operands of ``and`` and ``or``; an assignment
+under which any term, run or predicate reads a dangling reference lies
+outside the domain and is skipped.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
@@ -47,7 +47,7 @@ from .domain import (EMPTY_HEAP, Heap, Ok, OkPure, Value, VBool, VCtor,
                      VList, VNat, VNone, VRef, VSome, VUnit, heap_alloc,
                      heap_closed)
 from .errors import BudgetExceeded, DanglingRef, MfxError, NotContinuous
-from .evaluator import eval_pure, run_lfp
+from .evaluator import compile_pure, run_lfp
 from .syntax import (Bind, Case, Expr, ExtCall, FunDef, If, PBin, PBool,
                      PCall, PCons, PCtor, PExpr, PNat, PNil, PNone, PNot,
                      PRefLit, PSome, PUnit, PVar, Pattern, Program, RefGet,
@@ -222,6 +222,16 @@ def premise_vars(p: Premise) -> set[str]:
         elif role == _VAR:
             out.add(v)
     return out
+
+
+def _premise_terms(p: Premise):
+    """The rule terms of a premise, in field order."""
+    for name, role in _PREMISE_FIELDS[type(p)]:
+        v = getattr(p, name)
+        if role == _TERM and v is not None:
+            yield v
+        elif role == _TERMS:
+            yield from v
 
 
 # ---------------------------------------------------------------------------
@@ -1000,7 +1010,8 @@ def check_rule_sampled(rule: InductionRule,
     terminates on an enumerated input, the oracle must hold.
 
     The domain of each type is enumerated once per call and reused by every
-    obligation and by the conclusion.
+    obligation and by the conclusion.  Every term of the rule is compiled
+    once per call, not walked again for each assignment.
 
     ObligationsHold together with ConclusionHolds is the desk-scale shadow
     of the rule's soundness.  Raises BudgetExceeded past max_nodes.
@@ -1026,7 +1037,13 @@ def check_rule_sampled(rule: InductionRule,
         if nodes > domain.max_nodes:
             raise BudgetExceeded(f"enumeration exceeded {domain.max_nodes} nodes")
 
-    ev = functools.partial(eval_pure, program=program)
+    # Every term of the rule is compiled once for this call.  The rule holds
+    # the terms, so their ids stay unique while it runs.
+    code = {id(t): compile_pure(t, program) for ob in rule.obligations
+            for p in (*ob.premises, ob.conclusion) for t in _premise_terms(p)}
+
+    def ev(t: Term, env) -> Value:
+        return code[id(t)](env)
 
     # A DanglingRef raised by a term, a run or the oracle means the
     # assignment lies outside the well-formed slice of the domain: run()

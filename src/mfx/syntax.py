@@ -345,6 +345,9 @@ class Program:
     data_decls: tuple[DataDecl, ...] = ()
     pure_defs: tuple[PureDef, ...] = ()
     fun_defs: tuple[FunDef, ...] = ()
+    # The evaluator's compiled code for this program, filled in on first use.
+    compiled: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
 
     def data_decl(self, name: str) -> DataDecl:
         for d in self.data_decls:
@@ -1405,12 +1408,23 @@ def parse_pexpr(source: str, program: Program | None = None) -> PExpr:
     return e
 
 
+class _ValueParser(_Parser):
+    """A parser of value literals, where ``reflit`` tokens are references."""
+
+    def patom(self, scope, comp=False):
+        t = self.peek()
+        if t.kind == "reflit":
+            self.next()
+            return PRefLit(int(t.text[3:]), pos=(t.line, t.col))
+        return super().patom(scope, comp)
+
+
 def parse_values(source: str, program: Program | None = None) -> list[PExpr]:
     """Parse a whitespace-separated sequence of value literals.
 
     Identifiers of the form ``refN`` denote reference literals.
     """
-    p = _Parser("")
+    p = _ValueParser("")
     if program is not None:
         for d in program.data_decls:
             p.datatypes[d.name] = d
@@ -1422,16 +1436,6 @@ def parse_values(source: str, program: Program | None = None) -> list[PExpr]:
         toks.append(t if m is None else Token("reflit", t.text, t.line, t.col))
     p.toks = toks
     out = []
-    orig_patom = p.patom
-
-    def patom(scope, comp=False):
-        t = p.peek()
-        if t.kind == "reflit":
-            p.next()
-            return PRefLit(int(t.text[3:]), pos=(t.line, t.col))
-        return orig_patom(scope, comp)
-
-    p.patom = patom
     while not p.at("eof"):
         out.append(p.pexpr({}))
     return out

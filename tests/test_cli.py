@@ -154,13 +154,15 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "q(" in err and f"fuel cap {fuel}" in err
 
-    @pytest.mark.parametrize("env,argv,code,stdout", [
-        (None, ["--fuel", "100000"], 1, ""),
-        ("100000", [], 1, ""),
-        (None, ["--fuel", "20000"], 2, "Diverged(20000)\n"),
+    @pytest.mark.parametrize("env,argv,stdout", [
+        (None, ["--fuel", "100000"], "Diverged(100000)\n"),
+        ("100000", [], "Diverged(100000)\n"),
+        (None, ["--fuel", "20000"], "Diverged(20000)\n"),
     ], ids=["fuel-100000", "env-100000", "fuel-20000"])
-    def test_deep_cyclic_run(self, env, argv, code, stdout):
-        # In a fresh interpreter, so the run starts at the bottom of the stack.
+    def test_deep_cyclic_run(self, env, argv, stdout):
+        # In a fresh interpreter, with Python's default recursion limit: the
+        # evaluator keeps pending binds on its own stack, so a large cap
+        # costs only time and memory.
         environ = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
         environ.pop("MFX_FUEL", None)
         if env is not None:
@@ -169,11 +171,8 @@ class TestExitCodes:
             [sys.executable, "-m", "mfx.cli", "eval", corpus("traverse.mfx"),
              "--args", "Node(7, ref0)", "--heap", corpus("cyclic.heap"), *argv],
             env=environ, capture_output=True, text=True, timeout=120)
-        assert done.returncode == code and done.stdout == stdout
+        assert done.returncode == 2 and done.stdout == stdout
         assert "Traceback" not in done.stderr
-        if code == 1:
-            assert done.stderr.startswith("error: ")
-            assert done.stderr.count("\n") == 1 and "100000" in done.stderr
 
     def test_heap_audit_rejected(self, capsys):
         code, _, err = run(capsys, "audit", corpus("occurs.mfx"),

@@ -1,13 +1,18 @@
 """Evaluator semantics: frozen oracle values, approximant chains, the
 fixed-point equation at desk scale, divergence, and the monad laws."""
 
+import gc
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from mfx.corpus import corpus_path, load_program
 from mfx.domain import (BOTTOM, EMPTY_HEAP, Heap, Ok, OkPure, VBool, VCtor,
-                        VList, VNat, VRef, value_to_pexpr)
+                        VList, VNat, VRef, parse_heap, value_to_pexpr)
 from mfx.errors import ChainViolation, DslTypeError
 from mfx.evaluator import (Approximant, Diverged, approx_chain, eval_approx,
                            in_semantics, run_lfp, unfold_once)
@@ -31,6 +36,12 @@ heap fun bump(r : ref nat) : nat =
 
 ALLOC_SRC = """
 heap fun fresh(n : nat) : ref nat = ref n
+"""
+
+LEN_SRC = """
+option fun len(n : nat) : nat =
+  if n = 0 then return 0
+  else do x <- len(n - 1); return (x + 1) done
 """
 
 EXTCALL_SRC = """
@@ -258,6 +269,58 @@ class TestLfpAgainstChain:
                       3000)
         assert out == Diverged(3000)
         assert time.perf_counter() - start < 10
+
+
+class TestDeepRuns:
+    """Pending binds live on the evaluator's own stack, so the depth of a
+    run is bounded by memory, not by Python's recursion limit."""
+
+    def test_count_40000(self):
+        root = Path(__file__).parent.parent
+        prog = parse_program((root / "bench" / "lfp_write.mfx").read_text(
+            encoding="utf-8"))
+        h = Heap(((0, VNat(7)),), 1)
+        out = run_lfp(prog, "count", (VRef(0), VNat(40000)), h, 40001)
+        assert out == Ok(VNat(40007), Heap(((0, VNat(40007)),), 1))
+
+    def test_non_tail_option_recursion(self):
+        prog = parse_program(LEN_SRC)
+        start = time.perf_counter()
+        out = run_lfp(prog, "len", (VNat(100000),), EMPTY_HEAP, 100001)
+        assert out == OkPure(VNat(100000))
+        assert time.perf_counter() - start < 10
+        assert run_lfp(prog, "len", (VNat(100000),), EMPTY_HEAP,
+                       100000) == Diverged(100000)
+
+    def test_import_keeps_recursion_limit(self):
+        src = Path(__file__).parent.parent / "src"
+        code = ("import sys; before = sys.getrecursionlimit(); import mfx; "
+                "print(before, sys.getrecursionlimit())")
+        done = subprocess.run([sys.executable, "-c", code], cwd=src,
+                              capture_output=True, text=True, timeout=60)
+        before, after = done.stdout.split()
+        assert done.returncode == 0 and before == after
+
+
+def test_parse_and_run_leave_no_cycles():
+    # Parsing a heap and evaluating, compilation of a fresh program
+    # included, leave nothing for the cyclic garbage collector.
+    prog = load_program("occurs")
+    texts = [corpus_path(f"{name}.heap").read_text(encoding="utf-8")
+             for name in ("shared", "cyclic_term")]
+    gc.collect()
+    gc.disable()
+    try:
+        shared, cyclic = (parse_heap(text, prog) for text in texts)
+        assert gc.collect() == 0
+        out = run_lfp(prog, "occurs", (VRef(0), VRef(3)), shared, 50)
+        assert out == Ok(VBool(True), shared)
+        assert gc.collect() == 0
+        out = run_lfp(prog, "occurs", (VRef(0), VRef(1)), cyclic, 50)
+        assert out == Diverged(50)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestHeapPrograms:
