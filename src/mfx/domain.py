@@ -5,14 +5,18 @@ The heap monad's order is the pointwise lifting of the same flat order over
 per-input outcomes; the evaluator checks it by sampling heaps, so this module
 only ever compares outcomes at a fixed input.
 
-Bottom identifies divergence with irrecoverable failure and carries no heap;
-heaps are persistent (updates return fresh heaps) and all values are
-immutable, so everything here is safe to share across threads.
+Bottom identifies divergence with irrecoverable failure and carries no heap.
+Values and heaps are immutable, so everything here is safe to share across
+threads.  A list is a chain of cons cells, so cons is O(1).  A heap keeps an
+id -> value dict, so a lookup is O(1) and an update copies the dict once; a
+heap-monad run does better still, because it owns one mutable store for the
+whole run (see the evaluator).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import DanglingRef, NotStabilized
 from . import syntax
@@ -26,7 +30,7 @@ from .syntax import (PBool, PCons, PCtor, PExpr, PNat, PNil, PNone, PRefLit,
 
 @dataclass(frozen=True)
 class Value:
-    pass
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -55,12 +59,78 @@ class VNat(Value):
         return str(self.value)
 
 
-@dataclass(frozen=True)
 class VList(Value):
-    items: tuple[Value, ...]
+    """A list as a chain of cons cells, so that cons is O(1).
+
+    ``VList(items)`` builds the chain from a tuple.  ``head`` and ``tail``
+    are the first element and the rest (both None on the empty list), and
+    ``items`` is the whole list as a tuple, built on first use and kept.
+    Equality, hashing and rendering go through ``items``, so they mean what
+    they meant when a list was a tuple.  Like every value, a list is
+    immutable: its public fields are read-only.
+    """
+
+    __slots__ = ("_head", "_tail", "_length", "_items")
+    __match_args__ = ("items",)
+    # Plain slot stores, not the frozen dataclass's checked ones, keep cons
+    # cheap (both hooks must be object's for CPython to skip the Python-level
+    # call); only this module writes the private slots.
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+
+    head = property(attrgetter("_head"))
+    tail = property(attrgetter("_tail"))
+    length = property(attrgetter("_length"))
+
+    def __init__(self, items: tuple[Value, ...] = ()):
+        items = tuple(items)
+        tail = _NIL
+        for v in reversed(items[1:]):
+            tail = cons(v, tail)
+        self._head, self._tail = (items[0], tail) if items else (None, None)
+        self._length, self._items = len(items), items
+
+    @property
+    def items(self) -> tuple[Value, ...]:
+        items = self._items
+        if items is None:
+            heads, node = [], self
+            while node._items is None:
+                heads.append(node._head)
+                node = node._tail
+            items = self._items = tuple(heads) + node._items
+        return items
+
+    def __reduce__(self):
+        return VList, (self.items,)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not VList:
+            return NotImplemented
+        return self._length == other._length and self.items == other.items
+
+    def __hash__(self):
+        return hash((self.items,))
+
+    def __repr__(self):
+        return f"VList(items={self.items!r})"
 
     def __str__(self):
         return "[" + ", ".join(str(v) for v in self.items) + "]"
+
+
+def cons(head: Value, tail: VList) -> VList:
+    """The list ``head # tail``, in O(1): the tail is shared, not copied."""
+    node = object.__new__(VList)
+    node._head, node._tail = head, tail
+    node._length, node._items = tail._length + 1, None
+    return node
+
+
+_NIL = object.__new__(VList)
+_NIL._head = _NIL._tail = None
+_NIL._length, _NIL._items = 0, ()
 
 
 @dataclass(frozen=True)
@@ -146,10 +216,16 @@ def pexpr_to_value(p: PExpr) -> Value:
     if isinstance(p, PNil):
         return VList(())
     if isinstance(p, PCons):
-        tail = pexpr_to_value(p.tail)
-        if not isinstance(tail, VList):
+        heads = []
+        while isinstance(p, PCons):
+            heads.append(pexpr_to_value(p.head))
+            p = p.tail
+        out = pexpr_to_value(p)
+        if not isinstance(out, VList):
             raise ValueError("cons onto a non-list value")
-        return VList((pexpr_to_value(p.head),) + tail.items)
+        for v in reversed(heads):
+            out = cons(v, out)
+        return out
     if isinstance(p, PNone):
         return VNone()
     if isinstance(p, PSome):
@@ -166,48 +242,96 @@ def pexpr_to_value(p: PExpr) -> Value:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Heap:
     """A finite store of reference cells; equality is extensional.
 
-    ``cells`` is kept sorted by id so that rendering and hashing are
-    canonical.  Every id in the store is below ``next_id``.
+    ``Heap(cells, next_id)`` takes the cells as (id, value) pairs sorted by
+    id, and checks that the ids are unique and below ``next_id``.  A heap
+    keeps an id -> value dict, built on first use, so ``lookup`` and
+    ``contains`` are O(1); ``cells``, the sorted pairs, is built on first
+    use too, and it makes rendering and hashing canonical.  Heaps are
+    immutable: heap_set and heap_alloc copy the dict once and return a new
+    heap.  An allocation takes ``next_id``, so the dict's insertion order is
+    ascending id order and no update sorts.
     """
 
-    cells: tuple[tuple[int, Value], ...] = ()
-    next_id: int = 0
+    __slots__ = ("_next_id", "_cells", "_map")
 
-    def __post_init__(self):
-        ids = [i for i, _ in self.cells]
+    next_id = property(attrgetter("_next_id"))
+
+    def __init__(self, cells: tuple[tuple[int, Value], ...] = (),
+                 next_id: int = 0):
+        cells = tuple(cells)
+        ids = [i for i, _ in cells]
         if ids != sorted(set(ids)):
             raise ValueError("heap cells must be sorted and unique")
-        if any(i >= self.next_id for i in ids):
+        if any(i >= next_id for i in ids):
             raise ValueError("heap id not below next_id")
+        self._next_id, self._cells, self._map = next_id, cells, None
+
+    @staticmethod
+    def of_dict(cells: dict[int, Value], next_id: int) -> Heap:
+        """The heap that owns ``cells``, whose keys must be below
+        ``next_id`` and in ascending order; nothing is checked or copied,
+        and the caller must not touch the dict afterwards."""
+        h = object.__new__(Heap)
+        h._next_id, h._cells, h._map = next_id, None, cells
+        return h
+
+    @property
+    def cells(self) -> tuple[tuple[int, Value], ...]:
+        if self._cells is None:
+            self._cells = tuple(self._map.items())
+        return self._cells
+
+    def as_dict(self) -> dict[int, Value]:
+        """The id -> value dict of this heap; read it, never write it."""
+        if self._map is None:
+            self._map = dict(self._cells)
+        return self._map
 
     def lookup(self, rid: int) -> Value:
-        for i, v in self.cells:
-            if i == rid:
-                return v
-        raise DanglingRef(f"ref{rid} is not allocated")
+        try:
+            return self.as_dict()[rid]
+        except KeyError:
+            raise dangling(rid) from None
 
     def contains(self, rid: int) -> bool:
-        return any(i == rid for i, _ in self.cells)
+        return rid in self.as_dict()
 
-    def ids(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.cells)
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Heap:
+            return NotImplemented
+        return self._next_id == other._next_id \
+            and self.as_dict() == other.as_dict()
+
+    def __hash__(self):
+        return hash((self.cells, self._next_id))
+
+    def __repr__(self):
+        return f"Heap(cells={self.cells!r}, next_id={self._next_id!r})"
 
     def __str__(self):
         body = ", ".join(f"{i} ↦ {v}" for i, v in self.cells)
-        return "{" + body + f"; next={self.next_id}" + "}"
+        return "{" + body + f"; next={self._next_id}" + "}"
 
 
 EMPTY_HEAP = Heap()
 
 
+def dangling(rid: int) -> DanglingRef:
+    """The error for a read or a write of the unallocated id ``rid``."""
+    return DanglingRef(f"ref{rid} is not allocated")
+
+
 def heap_alloc(h: Heap, v: Value) -> tuple[VRef, Heap]:
     """Allocate a fresh cell; the new id is ``h.next_id``."""
     rid = h.next_id
-    return VRef(rid), Heap(h.cells + ((rid, v),), rid + 1)
+    cells = h.as_dict().copy()
+    cells[rid] = v
+    return VRef(rid), Heap.of_dict(cells, rid + 1)
 
 
 def heap_get(h: Heap, r: VRef) -> Value:
@@ -218,9 +342,10 @@ def heap_get(h: Heap, r: VRef) -> Value:
 def heap_set(h: Heap, r: VRef, v: Value) -> Heap:
     """Write a cell, leaving everything else unchanged."""
     if not h.contains(r.rid):
-        raise DanglingRef(f"ref{r.rid} is not allocated")
-    cells = tuple((i, v if i == r.rid else old) for i, old in h.cells)
-    return Heap(cells, h.next_id)
+        raise dangling(r.rid)
+    cells = h.as_dict().copy()
+    cells[r.rid] = v
+    return Heap.of_dict(cells, h.next_id)
 
 
 def _value_refs(v: Value) -> set[int]:
@@ -237,11 +362,11 @@ def _value_refs(v: Value) -> set[int]:
 
 def heap_closed(h: Heap, *roots: Value) -> bool:
     """True if no reference reachable from the store or the roots dangles."""
-    stored = set(h.ids())
-    mentioned = set().union(*(_value_refs(v) for _, v in h.cells)) if h.cells else set()
-    for r in roots:
-        mentioned |= _value_refs(r)
-    return mentioned <= stored
+    stored = h.as_dict()
+    mentioned: set[int] = set()
+    for v in (*stored.values(), *roots):
+        mentioned |= _value_refs(v)
+    return mentioned <= stored.keys()
 
 
 def render_heap(h: Heap) -> str:

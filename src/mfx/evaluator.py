@@ -18,7 +18,13 @@ whole remaining budget preserves the no-mutual-recursion layering while
 keeping a single cap.
 
 Option-monad runs never touch the heap argument and yield OkPure outcomes;
-heap-monad runs thread a persistent heap and yield Ok(value, heap).
+heap-monad runs yield Ok(value, heap).  The heap monad threads its heap
+linearly (bottom carries no heap, a bind passes the heap on, and no branch
+goes back to an earlier one), so a run owns one mutable store, as in
+Imperative HOL: the run copies the input heap into an id -> value dict once,
+reads, writes and allocates in that dict in O(1), and freezes it into the
+result heap once.  Bottom and a dangling reference just drop the store, and
+the input heap is never changed.
 
 Every definition is compiled once per Program object, on first use, and
 the code is kept in ``Program.compiled``.  Pure expressions and rule terms
@@ -39,8 +45,8 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .domain import (BOTTOM, FALSE, TRUE, Chain, Heap, Ok, OkPure, Outcome,
-                     UNIT_V, VCtor, VList, VNat, VNone, VSome, Value,
-                     heap_alloc, heap_get, heap_set, outcome_le, pexpr_to_value)
+                     UNIT_V, VCtor, VNat, VNone, VRef, VSome, Value, cons,
+                     dangling, heap_get, heap_set, outcome_le, pexpr_to_value)
 from .errors import ChainViolation, DslTypeError
 from .syntax import (Bind, Case, Expr, ExtCall, If, PBin, PCall, PCons,
                      PCtor, PExpr, PNat, PNil, PNone, PNot, PBool, PRefLit,
@@ -136,7 +142,7 @@ def compile_pure(p: PExpr, program: Program) -> PureCode:
                              compile_pure(p.rhs, program))
     if isinstance(p, PCons):
         head, tail = compile_pure(p.head, program), compile_pure(p.tail, program)
-        return lambda env: VList((head(env),) + tail(env).items)
+        return lambda env: cons(head(env), tail(env))
     if isinstance(p, PSome):
         arg = compile_pure(p.arg, program)
         return lambda env: VSome(arg(env))
@@ -184,16 +190,17 @@ def eval_pure(p: PExpr, env: dict[str, Value], program: Program) -> Value:
 # Monadic code: steps run by one loop over an explicit stack
 # ---------------------------------------------------------------------------
 #
-# A step is called as step(push, env, h, fuel, fn) and returns the next
-# machine state (code, x, h, fuel, fn).  fn is the body of the function
-# being run, which a self-call re-enters, and fuel is the budget left for
-# its recursive calls.  When code is None, x is the value just returned;
-# otherwise x is the environment that code runs in.  A bind calls push to
-# save its pending body as the frame (body, var, env, fuel, fn), and the
-# loop resumes the innermost frame with each returned value.  If and case
-# call their branch directly, and a bind its head: that nesting is bounded
-# by the program text.  Code refers to its own function only through fn,
-# so compiled code holds no reference cycle.
+# A step is called as step(push, env, store, fuel, fn) and returns the next
+# machine state (code, x, fuel, fn).  store is the run's mutable heap (None
+# in an option-monad run), fn is the body of the function being run, which
+# a self-call re-enters, and fuel is the budget left for its recursive
+# calls.  When code is None, x is the value just returned; otherwise x is
+# the environment that code runs in.  A bind calls push to save its pending
+# body as the frame (body, var, env, fuel, fn), and the loop resumes the
+# innermost frame with each returned value.  If and case call their branch
+# directly, and a bind its head: that nesting is bounded by the program
+# text.  Code refers to its own function only through fn, so compiled code
+# holds no reference cycle.
 
 
 class _Fun(NamedTuple):
@@ -206,6 +213,22 @@ class _Fun(NamedTuple):
 
 class _Bottom(Exception):
     """A self-call at fuel 0: bottom, which ends the whole run."""
+
+
+class _Store:
+    """The heap of one heap-monad run: an id -> value dict that the run
+    owns, and the next id to allocate."""
+
+    __slots__ = ("cells", "next_id")
+
+    def __init__(self, h: Heap):
+        self.cells = h.as_dict().copy()
+        self.next_id = h.next_id
+
+    def freeze(self) -> Heap:
+        """The store as a heap; the store must not be used afterwards.
+        Allocation takes ids in ascending order, so the dict stays sorted."""
+        return Heap.of_dict(self.cells, self.next_id)
 
 
 def _fun(program: Program, name: str) -> _Fun:
@@ -240,25 +263,25 @@ def _compile_expr(e: Expr, params: tuple[str, ...], program: Program) -> Step:
 
     if isinstance(e, Return):
         v = pure(e.value)
-        return lambda push, env, h, fuel, fn: (None, v(env), h, fuel, fn)
+        return lambda push, env, store, fuel, fn: (None, v(env), fuel, fn)
     if isinstance(e, Bind):
         var, head, body = e.var, comp(e.head), comp(e.body)
 
-        def bind(push, env, h, fuel, fn):
+        def bind(push, env, store, fuel, fn):
             push((body, var, env, fuel, fn))
-            return head(push, env, h, fuel, fn)
+            return head(push, env, store, fuel, fn)
         return bind
     if isinstance(e, If):
         cond, then, els = pure(e.cond), comp(e.then), comp(e.els)
-        return lambda push, env, h, fuel, fn: \
-            (then if cond(env).value else els)(push, env, h, fuel, fn)
+        return lambda push, env, store, fuel, fn: \
+            (then if cond(env).value else els)(push, env, store, fuel, fn)
     if isinstance(e, Case):
         scrut = pure(e.scrutinee)
         branches: dict[str, tuple[tuple[str, ...], Step]] = {}
         for pat, body in e.branches:
             branches.setdefault(pat.ctor, (pat.vars, comp(body)))
 
-        def case(push, env, h, fuel, fn):
+        def case(push, env, store, fuel, fn):
             v = scrut(env)
             ctor, args = _constructor(v)
             if ctor not in branches:
@@ -267,15 +290,15 @@ def _compile_expr(e: Expr, params: tuple[str, ...], program: Program) -> Step:
             if names:
                 env = env.copy()
                 env.update(zip(names, args))
-            return body(push, env, h, fuel, fn)
+            return body(push, env, store, fuel, fn)
         return case
     if isinstance(e, SelfCall):
         bind_args = _binder(params, tuple(map(pure, e.args)))
 
-        def self_call(push, env, h, fuel, fn):
+        def self_call(push, env, store, fuel, fn):
             if fuel <= 0:
                 raise _Bottom
-            return fn, bind_args(env), h, fuel - 1, fn
+            return fn, bind_args(env), fuel - 1, fn
         return self_call
     if isinstance(e, ExtCall):
         # Earlier definitions get the whole remaining budget: at fuel f
@@ -283,23 +306,37 @@ def _compile_expr(e: Expr, params: tuple[str, ...], program: Program) -> Step:
         callee = _fun(program, e.name)
         callee_body = callee.body
         bind_args = _binder(callee.params, tuple(map(pure, e.args)))
-        return lambda push, env, h, fuel, fn: \
-            (callee_body, bind_args(env), h, fuel, callee_body)
+        return lambda push, env, store, fuel, fn: \
+            (callee_body, bind_args(env), fuel, callee_body)
     if isinstance(e, RefNew):
         v = pure(e.value)
 
-        def ref_new(push, env, h, fuel, fn):
-            r, h = heap_alloc(h, v(env))
-            return None, r, h, fuel, fn
+        def ref_new(push, env, store, fuel, fn):
+            rid = store.next_id
+            store.cells[rid] = v(env)
+            store.next_id = rid + 1
+            return None, VRef(rid), fuel, fn
         return ref_new
     if isinstance(e, RefGet):
-        r = pure(e.ref)
-        return lambda push, env, h, fuel, fn: \
-            (None, heap_get(h, r(env)), h, fuel, fn)
+        ref = pure(e.ref)
+
+        def ref_get(push, env, store, fuel, fn):
+            r = ref(env)
+            try:
+                return None, store.cells[r.rid], fuel, fn
+            except KeyError:
+                raise dangling(r.rid) from None
+        return ref_get
     if isinstance(e, RefSet):
-        r, v = pure(e.ref), pure(e.value)
-        return lambda push, env, h, fuel, fn: \
-            (None, UNIT_V, heap_set(h, r(env), v(env)), fuel, fn)
+        ref, v = pure(e.ref), pure(e.value)
+
+        def ref_set(push, env, store, fuel, fn):
+            r, value, cells = ref(env), v(env), store.cells
+            if r.rid not in cells:
+                raise dangling(r.rid)
+            cells[r.rid] = value
+            return None, UNIT_V, fuel, fn
+        return ref_set
     raise AssertionError(e)
 
 
@@ -307,11 +344,12 @@ def _run(f: _Fun, args: tuple[Value, ...], h: Heap, fuel: int) -> Outcome:
     """Run f's body on args and h, with recursive calls at the given fuel."""
     stack: list[tuple] = []
     push, pop = stack.append, stack.pop
+    store = _Store(h) if f.is_heap else None
     code = fn = f.body
     x = dict(zip(f.params, args))
     try:
         while True:
-            code, x, h, fuel, fn = code(push, x, h, fuel, fn)
+            code, x, fuel, fn = code(push, x, store, fuel, fn)
             if code is None:
                 if not stack:
                     break
@@ -319,7 +357,7 @@ def _run(f: _Fun, args: tuple[Value, ...], h: Heap, fuel: int) -> Outcome:
                 x = {**env, var: x}
     except _Bottom:
         return BOTTOM
-    return Ok(x, h) if f.is_heap else OkPure(x)
+    return Ok(x, store.freeze()) if f.is_heap else OkPure(x)
 
 
 def _entry(program: Program, fun_name: str, args: tuple[Value, ...]) -> _Fun:

@@ -975,12 +975,12 @@ def _match_value(t: Term, v, env: dict[str, object], quantified: set[str]):
     if isinstance(t, PNil):
         return env if v == VList(()) else None
     if isinstance(t, PCons):
-        if not isinstance(v, VList) or not v.items:
+        if not isinstance(v, VList) or not v.length:
             return None
-        env2 = _match_value(t.head, v.items[0], env, quantified)
+        env2 = _match_value(t.head, v.head, env, quantified)
         if env2 is None:
             return None
-        return _match_value(t.tail, VList(v.items[1:]), env2, quantified)
+        return _match_value(t.tail, v.tail, env2, quantified)
     if isinstance(t, PNone):
         return env if isinstance(v, VNone) else None
     if isinstance(t, PSome):

@@ -1070,54 +1070,61 @@ def _alpha_rename(d: FunDef, taken_globals: set[str]) -> FunDef:
     unambiguous.
     """
     used = set(taken_globals) | {p for p, _ in d.params}
+    return replace(d, body=_rename_e(d.body, {}, used))
 
-    def fresh(name: str) -> str:
-        if name != "_" and name not in used:
-            used.add(name)
-            return name
-        base = name if name != "_" else "_u"
-        k = 1
-        while f"{base}{k}" in used:
-            k += 1
-        used.add(f"{base}{k}")
-        return f"{base}{k}"
 
-    def rn_p(p: PExpr, env: dict[str, str]) -> PExpr:
-        if isinstance(p, PVar):
-            return replace(p, name=env.get(p.name, p.name))
-        return _pexpr_map(p, lambda c: rn_p(c, env))
+def _fresh(name: str, used: set[str]) -> str:
+    """``name``, or ``name`` with the least numeric suffix not in ``used``;
+    the result is added to ``used``."""
+    if name != "_" and name not in used:
+        used.add(name)
+        return name
+    base = name if name != "_" else "_u"
+    k = 1
+    while f"{base}{k}" in used:
+        k += 1
+    used.add(f"{base}{k}")
+    return f"{base}{k}"
 
-    def rn_e(e: Expr, env: dict[str, str]) -> Expr:
-        if isinstance(e, Return):
-            return replace(e, value=rn_p(e.value, env))
-        if isinstance(e, Bind):
-            head = rn_e(e.head, env)
-            var = fresh(e.var)
-            return replace(e, var=var, head=head,
-                           body=rn_e(e.body, {**env, e.var: var}))
-        if isinstance(e, If):
-            return replace(e, cond=rn_p(e.cond, env), then=rn_e(e.then, env),
-                           els=rn_e(e.els, env))
-        if isinstance(e, Case):
-            branches = []
-            for pat, body in e.branches:
-                vs = tuple(fresh(v) for v in pat.vars)
-                inner = {**env, **dict(zip(pat.vars, vs))}
-                branches.append((replace(pat, vars=vs), rn_e(body, inner)))
-            return replace(e, scrutinee=rn_p(e.scrutinee, env), branches=tuple(branches))
-        if isinstance(e, SelfCall):
-            return replace(e, args=tuple(rn_p(a, env) for a in e.args))
-        if isinstance(e, ExtCall):
-            return replace(e, args=tuple(rn_p(a, env) for a in e.args))
-        if isinstance(e, RefNew):
-            return replace(e, value=rn_p(e.value, env))
-        if isinstance(e, RefGet):
-            return replace(e, ref=rn_p(e.ref, env))
-        if isinstance(e, RefSet):
-            return replace(e, ref=rn_p(e.ref, env), value=rn_p(e.value, env))
-        raise AssertionError(e)
 
-    return replace(d, body=rn_e(d.body, {}))
+def _rename_p(p: PExpr, env: dict[str, str]) -> PExpr:
+    if isinstance(p, PVar):
+        return replace(p, name=env.get(p.name, p.name))
+    return _pexpr_map(p, lambda c: _rename_p(c, env))
+
+
+def _rename_e(e: Expr, env: dict[str, str], used: set[str]) -> Expr:
+    """``e`` with each binder given a fresh name and each bound variable
+    renamed through ``env``."""
+    if isinstance(e, Return):
+        return replace(e, value=_rename_p(e.value, env))
+    if isinstance(e, Bind):
+        head = _rename_e(e.head, env, used)
+        var = _fresh(e.var, used)
+        return replace(e, var=var, head=head,
+                       body=_rename_e(e.body, {**env, e.var: var}, used))
+    if isinstance(e, If):
+        return replace(e, cond=_rename_p(e.cond, env),
+                       then=_rename_e(e.then, env, used),
+                       els=_rename_e(e.els, env, used))
+    if isinstance(e, Case):
+        branches = []
+        for pat, body in e.branches:
+            vs = tuple(_fresh(v, used) for v in pat.vars)
+            inner = {**env, **dict(zip(pat.vars, vs))}
+            branches.append((replace(pat, vars=vs), _rename_e(body, inner, used)))
+        return replace(e, scrutinee=_rename_p(e.scrutinee, env),
+                       branches=tuple(branches))
+    if isinstance(e, (SelfCall, ExtCall)):
+        return replace(e, args=tuple(_rename_p(a, env) for a in e.args))
+    if isinstance(e, RefNew):
+        return replace(e, value=_rename_p(e.value, env))
+    if isinstance(e, RefGet):
+        return replace(e, ref=_rename_p(e.ref, env))
+    if isinstance(e, RefSet):
+        return replace(e, ref=_rename_p(e.ref, env),
+                       value=_rename_p(e.value, env))
+    raise AssertionError(e)
 
 
 # ---------------------------------------------------------------------------
@@ -1187,16 +1194,17 @@ class _PureTypeCheck:
                 return expected
             raise DslTypeError("cannot infer the element type of []", *pos)
         if isinstance(p, PCons):
-            if expected is not None and isinstance(expected, TList):
-                h = self.infer(p.head, env, expected.elem)
-                self._require(h, expected.elem, p.head)
-                t = self.infer(p.tail, env, expected)
-                self._require(t, expected, p.tail)
-                return expected
-            h = self.infer(p.head, env)
-            t = self.infer(p.tail, env, TList(h))
-            self._require(t, TList(h), p.tail)
-            return TList(h)
+            # A loop down the spine, so a long list literal needs no deep
+            # recursion.
+            lt = expected
+            if not isinstance(lt, TList):
+                lt = TList(self.infer(p.head, env))
+                p = p.tail
+            while isinstance(p, PCons):
+                self._require(self.infer(p.head, env, lt.elem), lt.elem, p.head)
+                p = p.tail
+            self._require(self.infer(p, env, lt), lt, p)
+            return lt
         if isinstance(p, PNone):
             if expected is not None and isinstance(expected, TOption):
                 return expected

@@ -174,6 +174,21 @@ class TestExitCodes:
         assert done.returncode == 2 and done.stdout == stdout
         assert "Traceback" not in done.stderr
 
+    def test_long_list_literal(self, tmp_path):
+        # In a fresh interpreter, with Python's default recursion limit: list
+        # literals are converted and type-checked by a loop down the spine.
+        src = tmp_path / "same.mfx"
+        src.write_text("option fun same(xs : list nat) : list nat = return xs\n",
+                       encoding="utf-8")
+        items = ", ".join(str(i % 10) for i in range(20000))
+        environ = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "mfx.cli", "eval", str(src),
+             "--args", f"[{items}]"],
+            env=environ, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and done.stdout == f"OkPure([{items}])\n"
+        assert "Traceback" not in done.stderr
+
     def test_heap_audit_rejected(self, capsys):
         code, _, err = run(capsys, "audit", corpus("occurs.mfx"),
                            "--fun", "occurs", "--q",

@@ -11,16 +11,17 @@ from pathlib import Path
 import pytest
 
 from mfx.corpus import corpus_path, load_program
-from mfx.domain import (BOTTOM, EMPTY_HEAP, Heap, Ok, OkPure, VBool, VCtor,
-                        VList, VNat, VRef, parse_heap, value_to_pexpr)
-from mfx.errors import ChainViolation, DslTypeError
+from mfx.domain import (BOTTOM, EMPTY_HEAP, UNIT_V, Heap, Ok, OkPure, VBool,
+                        VCtor, VList, VNat, VRef, parse_heap, value_to_pexpr)
+from mfx.errors import ChainViolation, DanglingRef, DslTypeError
 from mfx.evaluator import (Approximant, Diverged, approx_chain, eval_approx,
                            in_semantics, run_lfp, unfold_once)
 from mfx.syntax import (Bind, FunDef, If, NAT, PBin, PNat, PVar, RefGet,
                         Return, TRef, parse_program)
 
-from oracles import (occurs_in, random_node_arg, random_node_heap,
-                     random_rtrm_heap, trace_ref, trace_value)
+from oracles import (acyclic_list_heap, occurs_in, random_node_arg,
+                     random_node_heap, random_rtrm_heap, trace_ref, trace_value,
+                     walk_list)
 
 
 def node(x, rid):
@@ -33,6 +34,15 @@ WRITE_SRC = """
 heap fun bump(r : ref nat) : nat =
   do x <- !r; r := x + 1; return x done
 """
+
+DANGLE_SRC = """
+heap fun late_read(r : ref nat, d : ref nat) : nat =
+  do x <- !r; r := x + 1; y <- !d; return y done
+heap fun late_write(r : ref nat, d : ref nat) : unit =
+  do x <- ref 3; r := 5; d := 7 done
+"""
+
+LFP_WRITE = Path(__file__).parent.parent / "bench" / "lfp_write.mfx"
 
 ALLOC_SRC = """
 heap fun fresh(n : nat) : ref nat = ref n
@@ -276,9 +286,7 @@ class TestDeepRuns:
     run is bounded by memory, not by Python's recursion limit."""
 
     def test_count_40000(self):
-        root = Path(__file__).parent.parent
-        prog = parse_program((root / "bench" / "lfp_write.mfx").read_text(
-            encoding="utf-8"))
+        prog = parse_program(LFP_WRITE.read_text(encoding="utf-8"))
         h = Heap(((0, VNat(7)),), 1)
         out = run_lfp(prog, "count", (VRef(0), VNat(40000)), h, 40001)
         assert out == Ok(VNat(40007), Heap(((0, VNat(40007)),), 1))
@@ -303,14 +311,17 @@ class TestDeepRuns:
 
 
 def test_parse_and_run_leave_no_cycles():
-    # Parsing a heap and evaluating, compilation of a fresh program
-    # included, leave nothing for the cyclic garbage collector.
+    # Parsing a program or a heap and evaluating, compilation of a fresh
+    # program included, leave nothing for the cyclic garbage collector.
     prog = load_program("occurs")
     texts = [corpus_path(f"{name}.heap").read_text(encoding="utf-8")
              for name in ("shared", "cyclic_term")]
+    trace_src = corpus_path("trace.mfx").read_text(encoding="utf-8")
     gc.collect()
     gc.disable()
     try:
+        parse_program(trace_src)
+        assert gc.collect() == 0
         shared, cyclic = (parse_heap(text, prog) for text in texts)
         assert gc.collect() == 0
         out = run_lfp(prog, "occurs", (VRef(0), VRef(3)), shared, 50)
@@ -321,6 +332,27 @@ def test_parse_and_run_leave_no_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+class TestScaling:
+    """A run owns one mutable store and cons shares its tail, so a run that
+    walks or builds n cells takes time linear in n."""
+
+    def _traverse(self, prog, n):
+        first, h = acyclic_list_heap(random.Random(n), n)
+        start = time.perf_counter()
+        out = run_lfp(prog, "traverse", (first,), h, n + 1)
+        elapsed = time.perf_counter() - start
+        assert out == Ok(VList(tuple(walk_list(h, first, limit=n))), h)
+        return elapsed
+
+    def test_traverse_8000_cells(self, traverse_prog):
+        # About 1.2 s when every read scanned the heap and every cons
+        # copied its tail.
+        assert self._traverse(traverse_prog, 8000) < 0.5
+
+    def test_traverse_100000_cells(self, traverse_prog):
+        assert self._traverse(traverse_prog, 100_000) < 10
 
 
 class TestHeapPrograms:
@@ -334,6 +366,38 @@ class TestHeapPrograms:
         prog = parse_program(ALLOC_SRC)
         out = run_lfp(prog, "fresh", (VNat(9),), EMPTY_HEAP, 10)
         assert out == Ok(VRef(0), Heap(((0, VNat(9)),), 1))
+
+    def test_writing_run_leaves_its_input_alone(self):
+        # bump rewrites a list on the even ids; the odd ids are padding.
+        prog = parse_program(LFP_WRITE.read_text(encoding="utf-8"))
+        nil = VCtor("Nil", ())
+        cells, bumped = [], []
+        for i in range(0, 60, 2):
+            if i < 58:
+                cells.append((i, VCtor("Cons", (VNat(i), VRef(i + 2)))))
+                bumped.append((i, VCtor("Cons", (VNat(i + 1), VRef(i + 2)))))
+            else:
+                cells.append((i, nil))
+                bumped.append((i, nil))
+            cells.append((i + 1, nil))
+            bumped.append((i + 1, nil))
+        h = Heap(tuple(cells), 60)
+        before = Heap(tuple(cells), 60)
+        out = run_lfp(prog, "bump", (VRef(0),), h, 100)
+        assert out == Ok(UNIT_V, Heap(tuple(bumped), 60))
+        assert h == before and h.cells == tuple(cells)
+        assert run_lfp(prog, "bump", (VRef(0),), h, 100) == out
+        assert h == before
+
+    @pytest.mark.parametrize("fun", ["late_read", "late_write"])
+    def test_dangling_ref_midway(self, fun):
+        # ref1 is below next_id but not allocated.
+        prog = parse_program(DANGLE_SRC)
+        h = Heap(((0, VNat(41)),), 2)
+        with pytest.raises(DanglingRef, match=r"^ref1 is not allocated$"):
+            run_lfp(prog, fun, (VRef(0), VRef(1)), h, 10)
+        assert h == Heap(((0, VNat(41)),), 2)
+        assert str(h) == "{0 ↦ 41; next=2}"
 
 
 class TestMonadLaws:
