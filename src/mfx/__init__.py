@@ -9,8 +9,9 @@ partial-correctness induction rules.
 from .errors import (BudgetExceeded, ChainViolation, DanglingRef, DslTypeError,
                      MfxError, MonadError, NotContinuous, NotStabilized,
                      ParseError, ScopeError, StaticError)
-from .syntax import (alpha_equivalent, free_vars, parse_pexpr, parse_program,
-                     parse_values, pretty, pretty_program,
+from .syntax import (alpha_equivalent, check_fun_def, free_vars, infer_type,
+                     instantiate, parse_pexpr, parse_program, parse_values,
+                     pretty, pretty_program, Names,
                      Bind, Case, DataDecl, Expr, ExtCall, FunDef, If, Pattern,
                      PExpr, Program, PureDef, RefGet, RefNew, RefSet, Return,
                      SelfCall)

@@ -30,13 +30,14 @@ import sys
 from pathlib import Path
 
 from .continuity import ContinuityFailure, check_continuous, explain
-from .domain import EMPTY_HEAP, VBool, heap_closed, parse_heap, render_outcome
-from .errors import MfxError, StaticError
+from .domain import (EMPTY_HEAP, VBool, VCtor, VList, VRef, VSome,
+                     heap_closed, parse_heap, pexpr_to_value, render_outcome,
+                     value_to_pexpr)
+from .errors import DslTypeError, MfxError, StaticError
 from .evaluator import (DEFAULT_FUEL_CAP, Diverged, approx_chain, run_lfp)
 from .induction import (DomainSpec, check_rule_sampled, raw_rule, refine,
                         refined_rule, render_rule, rule_to_json)
-from .syntax import parse_program, parse_values
-from .domain import pexpr_to_value
+from .syntax import BOOL, infer_type, instantiate, parse_program, parse_values
 
 
 def _fuel_cap(args) -> int:
@@ -81,19 +82,12 @@ def _parse_args_values(program, fundef, text):
         raise StaticError(
             f"{fundef.name!r} takes {len(fundef.params)} argument(s), "
             f"got {len(pexprs)}")
-    values = tuple(pexpr_to_value(p) for p in pexprs)
-    # Light shape check of each value against the declared parameter type.
-    from .induction import _ProgramTables
-    from .syntax import _PureTypeCheck
-    from .domain import value_to_pexpr
-
-    tc = _PureTypeCheck(_ProgramTables(program))
-    for v, (pname, ty) in zip(values, fundef.params):
-        got = tc.infer(value_to_pexpr(v), {}, expected=ty)
+    for p, (pname, ty) in zip(pexprs, fundef.params):
+        got = infer_type(p, program.names, ty)
         if got != ty:
             raise StaticError(f"argument {pname!r} of {fundef.name!r} expects "
                               f"{ty}, got a value of type {got}")
-    return values
+    return tuple(pexpr_to_value(p) for p in pexprs)
 
 
 def _load_heap_arg(args, program):
@@ -107,6 +101,45 @@ def _load_heap_arg(args, program):
         except ValueError as e:
             raise StaticError(f"{args.heap}: {e}")
     return EMPTY_HEAP
+
+
+def _check_cells(program, fundef, values, heap):
+    """Check each heap cell that the arguments reach against the ``τ`` of the
+    ``ref τ`` that reaches it.  References are followed through lists,
+    options, constructor arguments and cells; each cell is checked once, so
+    a cyclic heap ends the walk."""
+    todo = [(v, ty) for v, (_, ty) in zip(values, fundef.params)]
+    seen = set()
+    while todo:
+        v, ty = todo.pop()
+        if isinstance(v, VList):
+            todo += [(x, ty.elem) for x in v.items]
+        elif isinstance(v, VSome):
+            todo.append((v.value, ty.elem))
+        elif isinstance(v, VCtor):
+            decl, c = program.ctor_decl(v.name)
+            subst = dict(zip(decl.type_params, ty.args))
+            todo += [(a, instantiate(t, subst)) for a, t in zip(v.args, c.arg_types)]
+        elif isinstance(v, VRef) and v.rid not in seen and heap.contains(v.rid):
+            seen.add(v.rid)
+            cell = heap.lookup(v.rid)
+            try:
+                got = infer_type(value_to_pexpr(cell), program.names, ty.elem)
+            except DslTypeError as e:
+                raise StaticError(f"heap cell {v.rid} does not hold a value of "
+                                  f"type {ty.elem}: {e.msg}")
+            if got != ty.elem:
+                raise StaticError(f"heap cell {v.rid} holds a value of type "
+                                  f"{got}, expected {ty.elem}")
+            todo.append((cell, ty.elem))
+
+
+def _load_inputs(args, program, fundef):
+    """The argument values and the heap of eval and approx, checked."""
+    values = _parse_args_values(program, fundef, args.args)
+    heap = _load_heap_arg(args, program)
+    _check_cells(program, fundef, values, heap)
+    return values, heap
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +185,7 @@ def cmd_check(args) -> int:
 def cmd_eval(args) -> int:
     program = _load_program(args.file)
     fundef = _pick_fun(program, args.fun, args.file)
-    values = _parse_args_values(program, fundef, args.args)
-    heap = _load_heap_arg(args, program)
+    values, heap = _load_inputs(args, program, fundef)
     if fundef.monad == "heap" and not heap_closed(heap, *values):
         raise StaticError("argument values reference unallocated heap ids")
     cap = _fuel_cap(args)
@@ -167,8 +199,7 @@ def cmd_approx(args) -> int:
         raise StaticError(f"--max-fuel must be at least 1, got {args.max_fuel}")
     program = _load_program(args.file)
     fundef = _pick_fun(program, args.fun, args.file)
-    values = _parse_args_values(program, fundef, args.args)
-    heap = _load_heap_arg(args, program)
+    values, heap = _load_inputs(args, program, fundef)
     chain = approx_chain(program, fundef.name, values, heap, args.max_fuel)
     for i, o in enumerate(chain):
         print(f"{i}: {render_outcome(o)}")
@@ -195,8 +226,6 @@ def _q_oracle_from_spec(path: str, fundef, cap: int):
         q = qprog.fun_def("q")
     except KeyError:
         raise StaticError(f"{path} must define 'option fun q(...) : bool'")
-    from .syntax import BOOL
-
     if q.monad != "option" or q.result_type != BOOL:
         raise StaticError("the audit predicate must be an option fun "
                           "returning bool")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .syntax import (Bind, Case, Expr, ExtCall, FunDef, If, PCall, PExpr,
                      RefGet, RefNew, RefSet, Return, SelfCall,
-                     _pexpr_children, pretty_expr_named)
+                     _expr_children, _pexpr_children, pretty_expr_named)
 
 
 class Rule(enum.Enum):
@@ -63,35 +63,20 @@ class ContinuityFailure:
         return f"{self.location}: {self.reason}"
 
 
-def _mentions_self(p: PExpr, fname: str) -> bool:
-    if isinstance(p, PCall) and p.name == fname:
-        return True
-    return any(_mentions_self(c, fname) for c in _pexpr_children(p))
-
-
-def _contains_selfcall(e: Expr, fname: str) -> bool:
-    if isinstance(e, SelfCall):
-        return True
-    if isinstance(e, Return):
-        return _mentions_self(e.value, fname)
-    if isinstance(e, Bind):
-        return _contains_selfcall(e.head, fname) or _contains_selfcall(e.body, fname)
-    if isinstance(e, If):
-        return (_mentions_self(e.cond, fname)
-                or _contains_selfcall(e.then, fname)
-                or _contains_selfcall(e.els, fname))
-    if isinstance(e, Case):
-        return (_mentions_self(e.scrutinee, fname)
-                or any(_contains_selfcall(b, fname) for _, b in e.branches))
-    if isinstance(e, ExtCall):
-        return any(_mentions_self(a, fname) for a in e.args)
-    if isinstance(e, RefNew):
-        return _mentions_self(e.value, fname)
-    if isinstance(e, RefGet):
-        return _mentions_self(e.ref, fname)
-    if isinstance(e, RefSet):
-        return _mentions_self(e.ref, fname) or _mentions_self(e.value, fname)
-    raise AssertionError(e)
+def _mentions_self(e: Expr | PExpr, fname: str) -> bool:
+    """Whether ``e`` holds a recursive call, in computation or pure position."""
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, SelfCall) or isinstance(e, PCall) and e.name == fname:
+            return True
+        if isinstance(e, PExpr):
+            todo += _pexpr_children(e)
+        else:
+            pures, subs = _expr_children(e)
+            todo += pures
+            todo += [sub for _, sub in subs]
+    return False
 
 
 def _pure_failure(p: PExpr, fname: str, path: str) -> ContinuityFailure | None:
@@ -113,7 +98,7 @@ def check_continuous(f: FunDef) -> Derivation | ContinuityFailure:
 
 
 def _check(e: Expr, fname: str, path: str) -> Derivation | ContinuityFailure:
-    if not _contains_selfcall(e, fname):
+    if not _mentions_self(e, fname):
         return Derivation(Rule.CONST, e)
     if isinstance(e, SelfCall):
         for i, a in enumerate(e.args):

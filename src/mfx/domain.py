@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .errors import DanglingRef, NotStabilized
+from .errors import DanglingRef, NotStabilized, StaticError
 from . import syntax
 from .syntax import (PBool, PCons, PCtor, PExpr, PNat, PNil, PNone, PRefLit,
                      PSome, PUnit, parse_values)
@@ -222,7 +222,7 @@ def pexpr_to_value(p: PExpr) -> Value:
             p = p.tail
         out = pexpr_to_value(p)
         if not isinstance(out, VList):
-            raise ValueError("cons onto a non-list value")
+            raise StaticError("cons onto a non-list value")
         for v in reversed(heads):
             out = cons(v, out)
         return out
@@ -234,7 +234,7 @@ def pexpr_to_value(p: PExpr) -> Value:
         return VCtor(p.name, tuple(pexpr_to_value(a) for a in p.args))
     if isinstance(p, PRefLit):
         return VRef(p.rid)
-    raise ValueError(f"not a value literal: {syntax.pretty_pexpr(p)}")
+    raise StaticError(f"not a value literal: {syntax.pretty_pexpr(p)}")
 
 
 # ---------------------------------------------------------------------------

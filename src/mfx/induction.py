@@ -54,8 +54,8 @@ from .syntax import (Bind, Case, Expr, ExtCall, FunDef, If, PBin, PBool,
                      RefNew, RefSet, Return, SelfCall, THeap, TList, TData,
                      TNat, TBool, TUnit, TOption, TRef, Type, TVar, UNIT,
                      HEAP, _alpha_p, _pexpr_children, _pexpr_map,
-                     alpha_equivalent, free_vars, pretty_expr_named,
-                     pretty_pexpr)
+                     alpha_equivalent, bound_names, check_fun_def, free_vars,
+                     instantiate, pretty_expr_named, pretty_pexpr)
 
 Term = PExpr  # rule terms are pure expressions plus reserved heap calls
 Var = str  # the name of a quantified variable
@@ -235,46 +235,8 @@ def _premise_terms(p: Premise):
 
 
 # ---------------------------------------------------------------------------
-# Typing support for refinement
-# ---------------------------------------------------------------------------
-
-
-class _ProgramTables:
-    """Adapter exposing a Program through the parser's symbol-table shape so
-    the syntax module's type checker can be reused during refinement."""
-
-    def __init__(self, program: Program):
-        self.datatypes = {d.name: d for d in program.data_decls}
-        self.ctors = {c.name: (d.name, c)
-                      for d in program.data_decls for c in d.ctors}
-        self.pure_funs = {d.name: d for d in program.pure_defs}
-        self.monadic_funs = {d.name: d for d in program.fun_defs}
-
-
-def _typer(program: Program, fundef: FunDef):
-    from .syntax import _FunTypeCheck
-
-    tc = _FunTypeCheck(_ProgramTables(program))
-    tc.fun = fundef
-    return tc
-
-
-# ---------------------------------------------------------------------------
 # Raw rule
 # ---------------------------------------------------------------------------
-
-
-def _bound_names(e: Expr) -> set[str]:
-    if isinstance(e, Bind):
-        return {e.var} | _bound_names(e.head) | _bound_names(e.body)
-    if isinstance(e, If):
-        return _bound_names(e.then) | _bound_names(e.els)
-    if isinstance(e, Case):
-        out: set[str] = set()
-        for pat, body in e.branches:
-            out |= set(pat.vars) | _bound_names(body)
-        return out
-    return set()
 
 
 class _Fresh:
@@ -312,8 +274,7 @@ def raw_rule(f: FunDef, program: Optional[Program] = None) -> InductionRule:
     d = check_continuous(f)
     if isinstance(d, ContinuityFailure):
         raise NotContinuous(f"{f.name}: {d}")
-    taken = {f.name} | {p for p, _ in f.params} | _bound_names(f.body)
-    fresh = _Fresh(taken)
+    fresh = _Fresh({f.name, *(p for p, _ in f.params), *bound_names(f.body)})
     y = fresh.value("y")
     param_terms = tuple(PVar(p) for p, _ in f.params)
     vars_: list[tuple[str, Optional[Type]]] = [(f.name, None)]
@@ -362,68 +323,66 @@ def refine(rule: InductionRule, derivation: Derivation) -> InductionRule:
     if derivation.rule is not Rule.LAM or derivation.subject != f.body:
         raise MfxError("derivation does not match the function body")
     program = rule.program or Program(fun_defs=(f,))
-    tc = _typer(program, f)
+    # The checker's type of every binder; binders are unique in f.
+    types = check_fun_def(f, program.names)
     is_heap = f.monad == "heap"
     obligations = []
 
     def walk(e: Expr, konts: tuple[tuple[str, Expr], ...], heap: Optional[Term],
              premises: tuple[Premise, ...],
-             vars_: tuple[tuple[str, Optional[Type]], ...],
-             env: dict[str, Type], fresh: _Fresh):
+             vars_: tuple[tuple[str, Optional[Type]], ...], fresh: _Fresh):
         def finish(result: Term, post: Optional[Term], vs=vars_, ps=premises):
             concl = Hyp(tuple(PVar(p) for p, _ in f.params), result,
                         PVar(h0) if is_heap else None, post)
             obligations.append(_cleanup(Obligation(vs, ps, concl)))
 
-        def bind(prem: Premise, x: str, ty: Type, hpost: Optional[str]):
+        def bind(prem: Premise, x: str, hpost: Optional[str]):
             """Add ``prem``, which defines ``x`` (and the post-heap ``hpost``
             if one is given); then continue with the pending continuation,
-            or conclude the path with ``x`` as its result."""
+            which binds ``x``, or conclude the path with ``x`` as its
+            result.  ``x`` has its binder's type, or at the end of a path
+            the function's result type."""
+            ty = types[x] if konts else f.result_type
             vs = vars_ + ((x, ty),) + (((hpost, HEAP),) if hpost else ())
             post = PVar(hpost) if hpost else heap
             if konts:
-                walk(konts[0][1], konts[1:], post, premises + (prem,), vs,
-                     {**env, x: ty}, fresh)
+                walk(konts[0][1], konts[1:], post, premises + (prem,), vs, fresh)
             else:
                 finish(PVar(x), post, vs, premises + (prem,))
 
         if isinstance(e, Bind):
-            walk(e.head, ((e.var, e.body),) + konts, heap, premises, vars_, env, fresh)
+            walk(e.head, ((e.var, e.body),) + konts, heap, premises, vars_, fresh)
             return
         if isinstance(e, If):
             # Sibling paths get independently named intermediates.
             walk(e.then, konts, heap, premises + (PureCond(e.cond, True),),
-                 vars_, env, fresh.clone())
+                 vars_, fresh.clone())
             walk(e.els, konts, heap, premises + (PureCond(e.cond, False),),
-                 vars_, env, fresh.clone())
+                 vars_, fresh.clone())
             return
         if isinstance(e, Case):
-            scrut_ty = tc.infer(e.scrutinee, env)
             for pat, body in e.branches:
-                binds = tc._pattern_env(pat, scrut_ty)
-                pvars = tuple((v, binds[v]) for v in pat.vars)
+                pvars = tuple((v, types[v]) for v in pat.vars)
                 eq = PureEq(_pattern_term(pat), e.scrutinee)
                 walk(body, konts, heap, premises + (eq,), vars_ + pvars,
-                     {**env, **binds}, fresh.clone())
+                     fresh.clone())
             return
         if isinstance(e, Return):
             if not konts:
                 finish(e.value, heap)
                 return
             x = konts[0][0]
-            bind(PureEq(e.value, PVar(x)), x, tc.infer(e.value, env), None)
+            bind(PureEq(e.value, PVar(x)), x, None)
             return
         if isinstance(e, (SelfCall, ExtCall)):
             x = konts[0][0] if konts else fresh.value("y")
             hpost = fresh.heap() if is_heap else None
             if isinstance(e, SelfCall):
-                rty = f.result_type
                 prem = Hyp(e.args, PVar(x), heap, PVar(hpost) if is_heap else None)
             else:
-                rty = program.fun_def(e.name).result_type
                 prem = SemTriple(heap, PVar(hpost), PVar(x), e.name, e.args) \
                     if is_heap else OptEq(e.name, e.args, PVar(x))
-            bind(prem, x, rty, hpost)
+            bind(prem, x, hpost)
             return
         if isinstance(e, RefGet):
             got = PCall("get_ref", (e.ref, heap))  # h' = h collapsed for reads
@@ -431,7 +390,7 @@ def refine(rule: InductionRule, derivation: Derivation) -> InductionRule:
                 finish(got, heap)
                 return
             x = konts[0][0]
-            bind(PureEq(PVar(x), got), x, tc.infer(e.ref, env).elem, None)
+            bind(PureEq(PVar(x), got), x, None)
             return
         if isinstance(e, RefSet):
             newheap = PCall("set_ref", (e.ref, e.value, heap))
@@ -440,24 +399,21 @@ def refine(rule: InductionRule, derivation: Derivation) -> InductionRule:
                 return
             (x, rest), rest_k = konts[0], konts[1:]
             walk(rest, rest_k, newheap, premises + (PureEq(PVar(x), PUnit()),),
-                 vars_ + ((x, UNIT),), {**env, x: UNIT}, fresh)
+                 vars_ + ((x, UNIT),), fresh)
             return
         if isinstance(e, RefNew):
             hpost = fresh.heap()
             r = konts[0][0] if konts else fresh.value("r")
-            bind(HeapNew(PVar(r), PVar(hpost), e.value, heap), r,
-                 TRef(tc.infer(e.value, env)), hpost)
+            bind(HeapNew(PVar(r), PVar(hpost), e.value, heap), r, hpost)
             return
         raise AssertionError(e)
 
-    taken = {f.name} | {p for p, _ in f.params} | _bound_names(f.body)
-    fresh0 = _Fresh(taken)
+    fresh0 = _Fresh({f.name, *(p for p, _ in f.params), *types})
     h0 = fresh0.heap() if is_heap else None
     base_vars: tuple[tuple[str, Optional[Type]], ...] = tuple(f.params)
     if is_heap:
         base_vars = base_vars + ((h0, HEAP),)
-    env0 = {p: t for p, t in f.params}
-    walk(f.body, (), PVar(h0) if is_heap else None, (), base_vars, env0, fresh0)
+    walk(f.body, (), PVar(h0) if is_heap else None, (), base_vars, fresh0)
 
     refined = InductionRule(rule.function, rule.monad, "refined", rule.params,
                             rule.result_type, tuple(obligations),
@@ -930,11 +886,8 @@ def enum_values(ty: Type, spec: DomainSpec, program: Program,
         out = []
         decl = program.data_decl(ty.name)
         subst = dict(zip(decl.type_params, ty.args))
-        from .syntax import _PureTypeCheck
-
-        inst = _PureTypeCheck(_ProgramTables(program))
         for c in decl.ctors:
-            arg_tys = [inst._instantiate(t, subst) for t in c.arg_types]
+            arg_tys = [instantiate(t, subst) for t in c.arg_types]
             arg_domains = [enum_values(t, spec, program, depth + 1) for t in arg_tys]
             for combo in itertools.product(*arg_domains):
                 out.append(VCtor(c.name, combo))
@@ -954,6 +907,28 @@ def enum_values(ty: Type, spec: DomainSpec, program: Program,
     for v in spec.extra_for(ty):
         if v not in out:
             out.append(v)
+    return out
+
+
+def _cell_types(rule: InductionRule, spec: DomainSpec) -> set[Type]:
+    """The ``τ`` of each ``ref τ`` that the values of the rule's parameter
+    types hold, down to the domain's datatype depth."""
+    out, seen = set(), set()
+    todo = [(t, 0) for _, t in rule.params]
+    while todo:
+        t, depth = item = todo.pop()
+        if item in seen:
+            continue
+        seen.add(item)
+        if isinstance(t, TRef):
+            out.add(t.elem)
+        elif isinstance(t, (TList, TOption)):
+            todo.append((t.elem, depth))
+        elif isinstance(t, TData) and depth <= spec.data_depth:
+            decl = rule.program.data_decl(t.name)
+            subst = dict(zip(decl.type_params, t.args))
+            todo += [(instantiate(a, subst), depth + 1)
+                     for c in decl.ctors for a in c.arg_types]
     return out
 
 
@@ -1021,6 +996,13 @@ def check_rule_sampled(rule: InductionRule,
     program = rule.program
     if program is None:
         raise MfxError("rule carries no program; rebuild it with raw_rule(f, program)")
+    if rule.monad == "heap" and domain.cell_type is not None:
+        cells = _cell_types(rule, domain)
+        if cells and domain.cell_type not in cells:
+            raise MfxError(
+                f"the domain's cell type {domain.cell_type} is not the type of "
+                f"any cell {rule.function} reaches: "
+                + ", ".join(sorted(map(str, cells))))
     cap = fuel_cap if fuel_cap is not None else domain.fuel_cap
     nodes = 0
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 from .errors import DslTypeError, MonadError, ParseError, ScopeError
@@ -349,30 +350,51 @@ class Program:
     compiled: dict = field(default_factory=dict, init=False, compare=False,
                            repr=False)
 
+    @cached_property
+    def names(self) -> Names:
+        """This program's name table, built on first use."""
+        return Names(self)
+
     def data_decl(self, name: str) -> DataDecl:
-        for d in self.data_decls:
-            if d.name == name:
-                return d
-        raise KeyError(name)
+        return self.names.datatypes[name]
 
     def pure_def(self, name: str) -> PureDef:
-        for d in self.pure_defs:
-            if d.name == name:
-                return d
-        raise KeyError(name)
+        return self.names.pure_funs[name]
 
     def fun_def(self, name: str) -> FunDef:
-        for d in self.fun_defs:
-            if d.name == name:
-                return d
-        raise KeyError(name)
+        return self.names.monadic_funs[name]
 
     def ctor_decl(self, name: str) -> tuple[DataDecl, CtorDecl]:
-        for d in self.data_decls:
-            for c in d.ctors:
-                if c.name == name:
-                    return d, c
-        raise KeyError(name)
+        return self.names.ctors[name]
+
+
+class Names:
+    """The top-level names in scope, by kind: datatypes, constructors (each
+    with its declaration), pure functions and monadic functions.
+
+    The parser fills one in declaration order, so a definition sees only
+    earlier ones; a finished Program provides its own as ``Program.names``.
+    The type checker reads names from nothing else.
+    """
+
+    def __init__(self, program: Optional[Program] = None):
+        self.datatypes: dict[str, DataDecl] = {}
+        self.ctors: dict[str, tuple[DataDecl, CtorDecl]] = {}
+        self.pure_funs: dict[str, PureDef] = {}
+        self.monadic_funs: dict[str, FunDef] = {}
+        if program is not None:
+            for d in program.data_decls:
+                self.datatypes[d.name] = d
+                self.ctors.update((c.name, (d, c)) for c in d.ctors)
+            self.pure_funs.update((d.name, d) for d in program.pure_defs)
+            self.monadic_funs.update((d.name, d) for d in program.fun_defs)
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.datatypes or name in self.ctors \
+            or name in self.pure_funs or name in self.monadic_funs
+
+    def all(self) -> set[str]:
+        return {*self.datatypes, *self.ctors, *self.pure_funs, *self.monadic_funs}
 
 
 # ---------------------------------------------------------------------------
@@ -484,15 +506,12 @@ def tokenize(source: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, source: str):
-        self.toks = tokenize(source)
+    def __init__(self, toks: list[Token], names: Names):
+        self.toks = toks
         self.i = 0
-        # Symbol tables filled in declaration order; later definitions may
-        # only refer to earlier ones, which rules out mutual recursion.
-        self.datatypes: dict[str, DataDecl] = {}
-        self.ctors: dict[str, tuple[str, CtorDecl]] = {}  # ctor -> (datatype, decl)
-        self.pure_funs: dict[str, PureDef] = {}
-        self.monadic_funs: dict[str, FunDef] = {}
+        # Filled in declaration order; later definitions may only refer to
+        # earlier ones, which rules out mutual recursion.
+        self.names = names
         self.current_fun: Optional[str] = None
         self.current_monad: Optional[str] = None
 
@@ -539,8 +558,7 @@ class _Parser:
 
     def _fresh_top_name(self, tok: Token) -> str:
         name = tok.text
-        if name in self.datatypes or name in self.ctors or name in self.pure_funs \
-                or name in self.monadic_funs:
+        if name in self.names:
             raise ScopeError(f"duplicate definition of {name!r}", tok.line, tok.col)
         if name in HEAP_FUNS:
             raise ScopeError(f"{name!r} is reserved for explicit-heap terms",
@@ -559,18 +577,17 @@ class _Parser:
             params.append(p)
         self.expect("sym", "=")
         # Pre-register so constructor argument types may mention the datatype.
-        decl_stub = DataDecl(name, tuple(params), ())
-        self.datatypes[name] = decl_stub
+        self.names.datatypes[name] = DataDecl(name, tuple(params), ())
         ctors = [self.ctordecl(params)]
         while self.at("sym", "|"):
             self.next()
             ctors.append(self.ctordecl(params))
         decl = DataDecl(name, tuple(params), tuple(ctors), pos=(kw.line, kw.col))
-        self.datatypes[name] = decl
+        self.names.datatypes[name] = decl
         for c in decl.ctors:
-            if c.name in self.ctors:
+            if c.name in self.names.ctors:
                 raise ScopeError(f"duplicate constructor {c.name!r}", kw.line, kw.col)
-            self.ctors[c.name] = (name, c)
+            self.names.ctors[c.name] = (decl, c)
         return decl
 
     def ctordecl(self, ty_params: list[str]) -> CtorDecl:
@@ -608,7 +625,7 @@ class _Parser:
             name = self.next().text
             if name in ty_params:
                 return TVar(name)
-            decl = self.datatypes.get(name)
+            decl = self.names.datatypes.get(name)
             if decl is None:
                 raise ScopeError(f"unknown type {name!r}", t.line, t.col)
             if decl.type_params:
@@ -624,8 +641,8 @@ class _Parser:
             self.next()
             arg = self.atype(ty_params)
             return {"list": TList, "option": TOption, "ref": TRef}[t.text](arg)
-        if t.kind == "ident" and t.text in self.datatypes:
-            decl = self.datatypes[t.text]
+        if t.kind == "ident" and t.text in self.names.datatypes:
+            decl = self.names.datatypes[t.text]
             if decl.type_params:
                 self.next()
                 args = tuple(self.atype(ty_params) for _ in decl.type_params)
@@ -654,8 +671,7 @@ class _Parser:
     def _check_binder_name(self, tok: Token):
         if _REF_LIT.match(tok.text):
             self.fail(f"{tok.text!r} is reserved for reference literals", tok)
-        if tok.text in self.datatypes or tok.text in self.ctors \
-                or tok.text in self.pure_funs or tok.text in self.monadic_funs:
+        if tok.text in self.names:
             raise ScopeError(f"{tok.text!r} shadows a top-level name", tok.line, tok.col)
 
     def puredef(self) -> PureDef:
@@ -669,12 +685,11 @@ class _Parser:
         self.expect("sym", "=")
         self.current_fun = name
         self.current_monad = None
-        scope = {p: t for p, t in params}
-        body = self.pexpr(scope)
+        body = self.pexpr({p for p, _ in params})
         self.current_fun = None
         d = PureDef(name, params, rty, body, pos=(kw.line, kw.col))
-        _PureTypeCheck(self).check_pure_def(d)
-        self.pure_funs[name] = d
+        _TypeCheck(self.names).check_pure_def(d)
+        self.names.pure_funs[name] = d
         return d
 
     def fundef(self) -> FunDef:
@@ -690,22 +705,18 @@ class _Parser:
         self.current_monad = monad_tok.text
         # Pre-register the arity so SelfCalls are checkable while parsing.
         self._self_arity = len(params)
-        body = self.expr({p: t for p, t in params})
+        body = self.expr({p for p, _ in params})
         self.current_fun = None
         self.current_monad = None
         d = FunDef(name, params, rty, monad_tok.text, body, pos=(monad_tok.line, monad_tok.col))
-        d = _alpha_rename(d, self._global_names())
-        _FunTypeCheck(self).check_fun_def(d)
-        self.monadic_funs[name] = d
+        d = _alpha_rename(d, self.names.all() | {name})
+        check_fun_def(d, self.names)
+        self.names.monadic_funs[name] = d
         return d
-
-    def _global_names(self) -> set[str]:
-        return set(self.datatypes) | set(self.ctors) | set(self.pure_funs) \
-            | set(self.monadic_funs) | ({self.current_fun} if self.current_fun else set())
 
     # -- computation expressions
 
-    def expr(self, scope: dict[str, Type]) -> Expr:
+    def expr(self, scope: set[str]) -> Expr:
         t = self.peek()
         if self.at("kw", "return"):
             self.next()
@@ -743,8 +754,8 @@ class _Parser:
             return RefSet(p, self.pexpr(scope), pos=(t.line, t.col))
         if isinstance(p, PCall) and p.name == self.current_fun:
             return SelfCall(p.args, pos=p.pos)
-        if isinstance(p, PCall) and p.name in self.monadic_funs:
-            callee = self.monadic_funs[p.name]
+        if isinstance(p, PCall) and p.name in self.names.monadic_funs:
+            callee = self.names.monadic_funs[p.name]
             if callee.monad != self.current_monad:
                 raise MonadError(
                     f"{p.name!r} is a {callee.monad}-monad function; "
@@ -762,7 +773,7 @@ class _Parser:
 
     def _find_monadic_mention(self, p: PExpr) -> Optional[PCall]:
         if isinstance(p, PCall):
-            if p.name == self.current_fun or p.name in self.monadic_funs:
+            if p.name == self.current_fun or p.name in self.names.monadic_funs:
                 return p
         for sub in _pexpr_children(p):
             hit = self._find_monadic_mention(sub)
@@ -785,7 +796,7 @@ class _Parser:
         t = self.peek(k)
         return t.kind == "kw" and t.text in ("return", "do", "if", "case", "ref")
 
-    def doblock(self, scope: dict[str, Type]) -> Expr:
+    def doblock(self, scope: set[str]) -> Expr:
         do_tok = self.expect("kw", "do")
         stmts: list[tuple[Optional[str], Expr, Token]] = []
         while True:
@@ -795,8 +806,7 @@ class _Parser:
                 self._check_binder_name(var_tok)
                 self.next()  # ←
                 head = self.expr(scope)
-                scope = dict(scope)
-                scope[var_tok.text] = TVar("?")  # placeholder; typing happens later
+                scope = scope | {var_tok.text}
                 stmts.append((var_tok.text, head, t))
             else:
                 stmts.append((None, self.expr(scope), t))
@@ -816,7 +826,7 @@ class _Parser:
                           pos=(tok.line, tok.col))
         return result
 
-    def caseblock(self, scope: dict[str, Type]) -> Expr:
+    def caseblock(self, scope: set[str]) -> Expr:
         case_tok = self.expect("kw", "case")
         scrut = self.pexpr(scope)
         self.expect("kw", "of")
@@ -832,7 +842,7 @@ class _Parser:
             seen.add(pat.ctor)
         return Case(scrut, tuple(branches), pos=(case_tok.line, case_tok.col))
 
-    def branch(self, scope: dict[str, Type]) -> tuple[Pattern, Expr]:
+    def branch(self, scope: set[str]) -> tuple[Pattern, Expr]:
         t = self.peek()
         if self.at("kw", "None"):
             self.next()
@@ -846,7 +856,7 @@ class _Parser:
             pat = Pattern("Some", (v.text,), pos=(t.line, t.col))
         else:
             name_tok = self.expect("ident")
-            if name_tok.text not in self.ctors:
+            if name_tok.text not in self.names.ctors:
                 raise ScopeError(f"unknown constructor {name_tok.text!r}",
                                  name_tok.line, name_tok.col)
             vars_: list[str] = []
@@ -862,7 +872,7 @@ class _Parser:
                         break
                     self.next()
                 self.expect("sym", ")")
-            _, cdecl = self.ctors[name_tok.text]
+            _, cdecl = self.names.ctors[name_tok.text]
             if len(vars_) != len(cdecl.arg_types):
                 raise ScopeError(
                     f"constructor {name_tok.text!r} expects {len(cdecl.arg_types)} "
@@ -870,14 +880,11 @@ class _Parser:
                     name_tok.line, name_tok.col)
             pat = Pattern(name_tok.text, tuple(vars_), pos=(t.line, t.col))
         self.expect("sym", "⇒")
-        inner = dict(scope)
-        for v in pat.vars:
-            inner[v] = TVar("?")
-        return pat, self.expr(inner)
+        return pat, self.expr(scope | set(pat.vars))
 
     # -- pure expressions (precedence climbing)
 
-    def pexpr(self, scope: dict[str, Type], computation_ok: bool = False) -> PExpr:
+    def pexpr(self, scope: set[str], computation_ok: bool = False) -> PExpr:
         return self.p_or(scope, computation_ok)
 
     def p_or(self, scope, comp=False) -> PExpr:
@@ -909,10 +916,15 @@ class _Parser:
         return e
 
     def p_cons(self, scope, comp=False) -> PExpr:
-        e = self.p_add(scope, comp)
-        if self.at("sym", "#"):
-            t = self.next()
-            return PCons(e, self.p_cons(scope), pos=(t.line, t.col))
+        # A loop, folded from the right, so a long chain needs no deep
+        # recursion.
+        items, toks = [self.p_add(scope, comp)], []
+        while self.at("sym", "#"):
+            toks.append(self.next())
+            items.append(self.p_add(scope))
+        e = items.pop()
+        for head, t in zip(reversed(items), reversed(toks)):
+            e = PCons(head, e, pos=(t.line, t.col))
         return e
 
     def p_add(self, scope, comp=False) -> PExpr:
@@ -929,8 +941,11 @@ class _Parser:
             e = PBin(t.text, e, self.patom(scope), pos=(t.line, t.col))
         return e
 
-    def patom(self, scope: dict[str, Type], comp: bool = False) -> PExpr:
+    def patom(self, scope: set[str], comp: bool = False) -> PExpr:
         t = self.peek()
+        if t.kind == "reflit":  # made by parse_values only
+            self.next()
+            return PRefLit(int(t.text[3:]), pos=(t.line, t.col))
         if t.kind == "nat":
             self.next()
             return PNat(int(t.text), pos=(t.line, t.col))
@@ -982,8 +997,8 @@ class _Parser:
                         self.next()
                 self.expect("sym", ")")
                 return self._resolve_app(name, tuple(args), t, comp)
-            if name in self.ctors:
-                _, cdecl = self.ctors[name]
+            if name in self.names.ctors:
+                _, cdecl = self.names.ctors[name]
                 if cdecl.arg_types:
                     raise ScopeError(
                         f"constructor {name!r} expects {len(cdecl.arg_types)} argument(s)",
@@ -996,15 +1011,15 @@ class _Parser:
 
     def _resolve_app(self, name: str, args: tuple[PExpr, ...], t: Token,
                      comp: bool) -> PExpr:
-        if name in self.ctors:
-            _, cdecl = self.ctors[name]
+        if name in self.names.ctors:
+            _, cdecl = self.names.ctors[name]
             if len(args) != len(cdecl.arg_types):
                 raise ScopeError(
                     f"constructor {name!r} expects {len(cdecl.arg_types)} argument(s), "
                     f"got {len(args)}", t.line, t.col)
             return PCtor(name, args, pos=(t.line, t.col))
-        if name in self.pure_funs:
-            d = self.pure_funs[name]
+        if name in self.names.pure_funs:
+            d = self.names.pure_funs[name]
             if len(args) != len(d.params):
                 raise ScopeError(
                     f"function {name!r} expects {len(d.params)} argument(s), got {len(args)}",
@@ -1012,12 +1027,12 @@ class _Parser:
             return PCall(name, args, pos=(t.line, t.col))
         if name == self.current_fun and self.current_monad is None:
             raise ScopeError("pure functions may not call themselves", t.line, t.col)
-        if name == self.current_fun or name in self.monadic_funs:
+        if name == self.current_fun or name in self.names.monadic_funs:
             if comp:
                 # The caller (expr) decides whether this is a Self/ExtCall;
                 # report arity errors here where the position is known.
                 arity = self._self_arity if name == self.current_fun \
-                    else len(self.monadic_funs[name].params)
+                    else len(self.names.monadic_funs[name].params)
                 if len(args) != arity:
                     raise ScopeError(
                         f"function {name!r} expects {arity} argument(s), got {len(args)}",
@@ -1057,6 +1072,50 @@ def _pexpr_map(p: PExpr, f) -> PExpr:
     return p
 
 
+_Scoped = tuple[tuple[str, ...], Expr]  # a sub-computation and the names it binds
+
+
+def _expr_children(e: Expr) -> tuple[tuple[PExpr, ...], tuple[_Scoped, ...]]:
+    """The pure subexpressions of ``e`` and its sub-computations, each with
+    the names bound in it (``Bind.var`` in the body, a branch's pattern
+    variables in that branch), both in source order."""
+    if isinstance(e, (Return, RefNew)):
+        return (e.value,), ()
+    if isinstance(e, Bind):
+        return (), (((), e.head), ((e.var,), e.body))
+    if isinstance(e, If):
+        return (e.cond,), (((), e.then), ((), e.els))
+    if isinstance(e, Case):
+        return (e.scrutinee,), tuple((pat.vars, body) for pat, body in e.branches)
+    if isinstance(e, (SelfCall, ExtCall)):
+        return e.args, ()
+    if isinstance(e, RefGet):
+        return (e.ref,), ()
+    if isinstance(e, RefSet):
+        return (e.ref, e.value), ()
+    raise AssertionError(e)
+
+
+def _expr_rebuild(e: Expr, pures: tuple[PExpr, ...],
+                  subs: tuple[_Scoped, ...]) -> Expr:
+    """``e`` with its _expr_children replaced by ``pures`` and ``subs``, of
+    the same shape; the names of ``subs`` rename the binders."""
+    if isinstance(e, Bind):
+        (_, head), ((var,), body) = subs
+        return Bind(var, head, body, e.pos)
+    if isinstance(e, If):
+        return If(pures[0], subs[0][1], subs[1][1], e.pos)
+    if isinstance(e, Case):
+        return Case(pures[0], tuple(
+            (Pattern(pat.ctor, vs, pat.pos), body)
+            for (pat, _), (vs, body) in zip(e.branches, subs)), e.pos)
+    if isinstance(e, SelfCall):
+        return SelfCall(pures, e.pos)
+    if isinstance(e, ExtCall):
+        return ExtCall(e.name, pures, e.pos)
+    return type(e)(*pures, e.pos)  # Return, RefNew, RefGet, RefSet
+
+
 # ---------------------------------------------------------------------------
 # Alpha-renaming
 # ---------------------------------------------------------------------------
@@ -1088,6 +1147,8 @@ def _fresh(name: str, used: set[str]) -> str:
 
 
 def _rename_p(p: PExpr, env: dict[str, str]) -> PExpr:
+    if not env:
+        return p
     if isinstance(p, PVar):
         return replace(p, name=env.get(p.name, p.name))
     return _pexpr_map(p, lambda c: _rename_p(c, env))
@@ -1095,36 +1156,18 @@ def _rename_p(p: PExpr, env: dict[str, str]) -> PExpr:
 
 def _rename_e(e: Expr, env: dict[str, str], used: set[str]) -> Expr:
     """``e`` with each binder given a fresh name and each bound variable
-    renamed through ``env``."""
-    if isinstance(e, Return):
-        return replace(e, value=_rename_p(e.value, env))
-    if isinstance(e, Bind):
-        head = _rename_e(e.head, env, used)
-        var = _fresh(e.var, used)
-        return replace(e, var=var, head=head,
-                       body=_rename_e(e.body, {**env, e.var: var}, used))
-    if isinstance(e, If):
-        return replace(e, cond=_rename_p(e.cond, env),
-                       then=_rename_e(e.then, env, used),
-                       els=_rename_e(e.els, env, used))
-    if isinstance(e, Case):
-        branches = []
-        for pat, body in e.branches:
-            vs = tuple(_fresh(v, used) for v in pat.vars)
-            inner = {**env, **dict(zip(pat.vars, vs))}
-            branches.append((replace(pat, vars=vs), _rename_e(body, inner, used)))
-        return replace(e, scrutinee=_rename_p(e.scrutinee, env),
-                       branches=tuple(branches))
-    if isinstance(e, (SelfCall, ExtCall)):
-        return replace(e, args=tuple(_rename_p(a, env) for a in e.args))
-    if isinstance(e, RefNew):
-        return replace(e, value=_rename_p(e.value, env))
-    if isinstance(e, RefGet):
-        return replace(e, ref=_rename_p(e.ref, env))
-    if isinstance(e, RefSet):
-        return replace(e, ref=_rename_p(e.ref, env),
-                       value=_rename_p(e.value, env))
-    raise AssertionError(e)
+    renamed through ``env``.  Sub-computations are renamed in source order,
+    each one's binders just before it.  A binder that keeps its name was
+    unused, so no outer binder maps it, and ``env`` leaves it out."""
+    pures, subs = _expr_children(e)
+    renamed = []
+    for names, sub in subs:
+        vs = tuple(_fresh(v, used) for v in names)
+        inner = env
+        if names != vs:
+            inner = {**env, **{v: w for v, w in zip(names, vs) if v != w}}
+        renamed.append((vs, _rename_e(sub, inner, used)))
+    return _expr_rebuild(e, tuple(_rename_p(p, env) for p in pures), renamed)
 
 
 # ---------------------------------------------------------------------------
@@ -1132,30 +1175,32 @@ def _rename_e(e: Expr, env: dict[str, str], used: set[str]) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-class _PureTypeCheck:
-    def __init__(self, parser: _Parser):
-        self.p = parser
+def instantiate(t: Type, subst: dict[str, Type]) -> Type:
+    """``t`` with each datatype parameter replaced by its type in ``subst``;
+    raises KeyError on a parameter that ``subst`` lacks."""
+    if isinstance(t, TVar):
+        return subst[t.name]
+    if isinstance(t, TList):
+        return TList(instantiate(t.elem, subst))
+    if isinstance(t, TOption):
+        return TOption(instantiate(t.elem, subst))
+    if isinstance(t, TRef):
+        return TRef(instantiate(t.elem, subst))
+    if isinstance(t, TData):
+        return TData(t.name, tuple(instantiate(a, subst) for a in t.args))
+    return t
+
+
+class _TypeCheck:
+    def __init__(self, names: Names):
+        self.names = names
 
     def check_pure_def(self, d: PureDef):
-        env = {name: ty for name, ty in d.params}
-        got = self.infer(d.body, env, expected=d.result_type)
+        got = self.infer(d.body, dict(d.params), expected=d.result_type)
         if got != d.result_type:
             raise DslTypeError(
                 f"body of {d.name!r} has type {got}, declared {d.result_type}",
                 *(d.pos or (None, None)))
-
-    def _instantiate(self, t: Type, subst: dict[str, Type]) -> Type:
-        if isinstance(t, TVar):
-            return subst[t.name]
-        if isinstance(t, TList):
-            return TList(self._instantiate(t.elem, subst))
-        if isinstance(t, TOption):
-            return TOption(self._instantiate(t.elem, subst))
-        if isinstance(t, TRef):
-            return TRef(self._instantiate(t.elem, subst))
-        if isinstance(t, TData):
-            return TData(t.name, tuple(self._instantiate(a, subst) for a in t.args))
-        return t
 
     def _match(self, decl_ty: Type, actual: Type, subst: dict[str, Type]) -> bool:
         """Match a declaration type with TVars against a concrete type."""
@@ -1214,8 +1259,8 @@ class _PureTypeCheck:
             a = self.infer(p.arg, env, inner)
             return TOption(a)
         if isinstance(p, PCtor):
-            dname, cdecl = self.p.ctors[p.name]
-            decl = self.p.datatypes[dname]
+            decl, cdecl = self.names.ctors[p.name]
+            dname = decl.name
             subst: dict[str, Type] = {}
             if expected is not None and isinstance(expected, TData) \
                     and expected.name == dname:
@@ -1223,7 +1268,7 @@ class _PureTypeCheck:
             for arg, dty in zip(p.args, cdecl.arg_types):
                 want = None
                 try:
-                    want = self._instantiate(dty, subst)
+                    want = instantiate(dty, subst)
                 except KeyError:
                     pass
                 got = self.infer(arg, env, want)
@@ -1238,7 +1283,7 @@ class _PureTypeCheck:
                     f"cannot infer type parameter {e.args[0]!r} of {p.name!r}", *pos)
             return TData(dname, targs)
         if isinstance(p, PCall):
-            d = self.p.pure_funs[p.name]
+            d = self.names.pure_funs[p.name]
             for arg, (_, want) in zip(p.args, d.params):
                 got = self.infer(arg, env, want)
                 self._require(got, want, arg)
@@ -1271,85 +1316,66 @@ class _PureTypeCheck:
             pos = getattr(node, "pos", None) or (None, None)
             raise DslTypeError(f"expected type {want}, got {got}", *pos)
 
-
-class _FunTypeCheck(_PureTypeCheck):
-    def check_fun_def(self, d: FunDef):
+    def check_fun_def(self, d: FunDef) -> dict[str, Type]:
         self.fun = d
-        env = {name: ty for name, ty in d.params}
-        self.check_expr(d.body, env, d.result_type)
+        self.binders: dict[str, Type] = {}
+        self.check_expr(d.body, dict(d.params), d.result_type)
+        return self.binders
 
-    def check_expr(self, e: Expr, env: dict[str, Type], expected: Type):
+    def _bind(self, env: dict[str, Type], binds: dict[str, Type]) -> dict[str, Type]:
+        """``env`` extended with ``binds``, which are recorded as binder types."""
+        self.binders.update(binds)
+        return {**env, **binds}
+
+    def check_expr(self, e: Expr, env: dict[str, Type],
+                   expected: Optional[Type] = None) -> Type:
+        """The type of the computation ``e``, which must be ``expected``
+        when that is given."""
         pos = getattr(e, "pos", None) or (None, None)
         if isinstance(e, Return):
             got = self.infer(e.value, env, expected)
-            self._require(got, expected, e.value)
-            return
+            if expected is not None:
+                self._require(got, expected, e.value)
+            return got
         if isinstance(e, Bind):
-            head_ty = self.infer_expr(e.head, env)
-            self.check_expr(e.body, {**env, e.var: head_ty}, expected)
-            return
+            head_ty = self.check_expr(e.head, env)
+            return self.check_expr(e.body, self._bind(env, {e.var: head_ty}),
+                                   expected)
         if isinstance(e, If):
             self._require(self.infer(e.cond, env, BOOL), BOOL, e.cond)
-            self.check_expr(e.then, env, expected)
-            self.check_expr(e.els, env, expected)
-            return
+            return self.check_expr(e.els, env, self.check_expr(e.then, env, expected))
         if isinstance(e, Case):
             st = self.infer(e.scrutinee, env)
-            for pat, body in e.branches:
-                binds = self._pattern_env(pat, st)
-                self.check_expr(body, {**env, **binds}, expected)
+            tys = [self.check_expr(body, self._bind(env, self._pattern_env(pat, st)),
+                                   expected) for pat, body in e.branches]
+            if any(t != tys[0] for t in tys):
+                raise DslTypeError("case branches have different types", *pos)
             self._check_exhaustive(e, st)
-            return
-        got = self.infer_expr(e, env)
-        if got != expected:
-            raise DslTypeError(f"expected type {expected}, got {got}", *pos)
-
-    def infer_expr(self, e: Expr, env: dict[str, Type]) -> Type:
-        pos = getattr(e, "pos", None) or (None, None)
-        if isinstance(e, Return):
-            return self.infer(e.value, env)
-        if isinstance(e, SelfCall):
-            for arg, (_, want) in zip(e.args, self.fun.params):
-                self._require(self.infer(arg, env, want), want, arg)
-            return self.fun.result_type
-        if isinstance(e, ExtCall):
-            callee = self.p.monadic_funs[e.name]
+            return tys[0]
+        if isinstance(e, (SelfCall, ExtCall)):
+            callee = self.fun if isinstance(e, SelfCall) \
+                else self.names.monadic_funs[e.name]
             for arg, (_, want) in zip(e.args, callee.params):
                 self._require(self.infer(arg, env, want), want, arg)
-            return callee.result_type
-        if isinstance(e, RefNew):
-            return TRef(self.infer(e.value, env))
-        if isinstance(e, RefGet):
-            rt = self.infer(e.ref, env)
-            if not isinstance(rt, TRef):
-                raise DslTypeError(f"'!' expects a reference, got {rt}", *pos)
-            return rt.elem
-        if isinstance(e, RefSet):
+            got = callee.result_type
+        elif isinstance(e, RefNew):
+            got = TRef(self.infer(e.value, env))
+        elif isinstance(e, RefGet):
+            got = self.infer(e.ref, env)
+            if not isinstance(got, TRef):
+                raise DslTypeError(f"'!' expects a reference, got {got}", *pos)
+            got = got.elem
+        elif isinstance(e, RefSet):
             rt = self.infer(e.ref, env)
             if not isinstance(rt, TRef):
                 raise DslTypeError(f"':=' expects a reference, got {rt}", *pos)
             self._require(self.infer(e.value, env, rt.elem), rt.elem, e.value)
-            return UNIT
-        if isinstance(e, Bind):
-            head_ty = self.infer_expr(e.head, env)
-            return self.infer_expr(e.body, {**env, e.var: head_ty})
-        if isinstance(e, If):
-            self._require(self.infer(e.cond, env, BOOL), BOOL, e.cond)
-            t1 = self.infer_expr(e.then, env)
-            self.check_expr(e.els, env, t1)
-            return t1
-        if isinstance(e, Case):
-            st = self.infer(e.scrutinee, env)
-            tys = []
-            for pat, body in e.branches:
-                binds = self._pattern_env(pat, st)
-                tys.append(self.infer_expr(body, {**env, **binds}))
-            for t in tys[1:]:
-                if t != tys[0]:
-                    raise DslTypeError("case branches have different types", *pos)
-            self._check_exhaustive(e, st)
-            return tys[0]
-        raise AssertionError(e)
+            got = UNIT
+        else:
+            raise AssertionError(e)
+        if expected is not None and got != expected:
+            raise DslTypeError(f"expected type {expected}, got {got}", *pos)
+        return got
 
     def _pattern_env(self, pat: Pattern, scrut_ty: Type) -> dict[str, Type]:
         pos = pat.pos or (None, None)
@@ -1361,14 +1387,13 @@ class _FunTypeCheck(_PureTypeCheck):
             if not isinstance(scrut_ty, TOption):
                 raise DslTypeError(f"option pattern against {scrut_ty}", *pos)
             return {pat.vars[0]: scrut_ty.elem}
-        dname, cdecl = self.p.ctors[pat.ctor]
-        if not isinstance(scrut_ty, TData) or scrut_ty.name != dname:
+        decl, cdecl = self.names.ctors[pat.ctor]
+        if not isinstance(scrut_ty, TData) or scrut_ty.name != decl.name:
             raise DslTypeError(
-                f"pattern {pat.ctor!r} belongs to {dname!r}, scrutinee has type {scrut_ty}",
+                f"pattern {pat.ctor!r} belongs to {decl.name!r}, scrutinee has type {scrut_ty}",
                 *pos)
-        decl = self.p.datatypes[dname]
         subst = dict(zip(decl.type_params, scrut_ty.args))
-        return {v: self._instantiate(t, subst)
+        return {v: instantiate(t, subst)
                 for v, t in zip(pat.vars, cdecl.arg_types)}
 
     def _check_exhaustive(self, e: Case, scrut_ty: Type):
@@ -1377,12 +1402,25 @@ class _FunTypeCheck(_PureTypeCheck):
         if isinstance(scrut_ty, TOption):
             missing = {"None", "Some"} - covered
         elif isinstance(scrut_ty, TData):
-            missing = {c.name for c in self.p.datatypes[scrut_ty.name].ctors} - covered
+            missing = {c.name for c in self.names.datatypes[scrut_ty.name].ctors} - covered
         else:
             raise DslTypeError(f"cannot match on values of type {scrut_ty}", *pos)
         if missing:
             raise DslTypeError(
                 "non-exhaustive case: missing " + ", ".join(sorted(missing)), *pos)
+
+
+def check_fun_def(d: FunDef, names: Names) -> dict[str, Type]:
+    """Type-check the monadic definition ``d`` against the top-level
+    ``names`` and return the type of each binder in its body; binders are
+    unique within a parsed definition.  Raises DslTypeError."""
+    return _TypeCheck(names).check_fun_def(d)
+
+
+def infer_type(p: PExpr, names: Names, expected: Optional[Type] = None) -> Type:
+    """The type of the closed pure expression ``p``.  ``expected`` types the
+    literals that cannot be typed alone (``[]``, ``None``, ``refN``)."""
+    return _TypeCheck(names).infer(p, {}, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -1396,56 +1434,29 @@ def parse_program(source: str) -> Program:
     Binders are alpha-renamed to be unique within each definition.  Raises
     ParseError, ScopeError, MonadError, or DslTypeError with a position.
     """
-    return _Parser(source).program()
+    return _Parser(tokenize(source), Names()).program()
 
 
 def parse_pexpr(source: str, program: Program | None = None) -> PExpr:
-    """Parse a closed pure expression (used for CLI values and Q specs)."""
-    p = _Parser("")
-    if program is not None:
-        for d in program.data_decls:
-            p.datatypes[d.name] = d
-            for c in d.ctors:
-                p.ctors[c.name] = (d.name, c)
-        for pd in program.pure_defs:
-            p.pure_funs[pd.name] = pd
-    p.toks = tokenize(source)
-    p.i = 0
-    e = p.pexpr({})
+    """Parse a closed pure expression over ``program``'s names."""
+    p = _Parser(tokenize(source), program.names if program else Names())
+    e = p.pexpr(set())
     p.expect("eof")
     return e
 
 
-class _ValueParser(_Parser):
-    """A parser of value literals, where ``reflit`` tokens are references."""
-
-    def patom(self, scope, comp=False):
-        t = self.peek()
-        if t.kind == "reflit":
-            self.next()
-            return PRefLit(int(t.text[3:]), pos=(t.line, t.col))
-        return super().patom(scope, comp)
-
-
 def parse_values(source: str, program: Program | None = None) -> list[PExpr]:
-    """Parse a whitespace-separated sequence of value literals.
-
-    Identifiers of the form ``refN`` denote reference literals.
+    """Parse a whitespace-separated sequence of value literals over
+    ``program``'s names.  Identifiers of the form ``refN`` denote reference
+    literals.
     """
-    p = _ValueParser("")
-    if program is not None:
-        for d in program.data_decls:
-            p.datatypes[d.name] = d
-            for c in d.ctors:
-                p.ctors[c.name] = (d.name, c)
-    toks = []
-    for t in tokenize(source):
-        m = _REF_LIT.match(t.text) if t.kind == "ident" else None
-        toks.append(t if m is None else Token("reflit", t.text, t.line, t.col))
-    p.toks = toks
+    toks = [Token("reflit", t.text, t.line, t.col)
+            if t.kind == "ident" and _REF_LIT.match(t.text) else t
+            for t in tokenize(source)]
+    p = _Parser(toks, program.names if program else Names())
     out = []
     while not p.at("eof"):
-        out.append(p.pexpr({}))
+        out.append(p.pexpr(set()))
     return out
 
 
@@ -1458,31 +1469,23 @@ def free_vars(e: Union[Expr, PExpr]) -> set[str]:
     """The set of variable names occurring free in a (pure) expression."""
     if isinstance(e, PVar):
         return {e.name}
-    if isinstance(e, PExpr):
-        out: set[str] = set()
-        for c in _pexpr_children(e):
-            out |= free_vars(c)
-        return out
-    if isinstance(e, Return):
-        return free_vars(e.value)
-    if isinstance(e, Bind):
-        return free_vars(e.head) | (free_vars(e.body) - {e.var})
-    if isinstance(e, If):
-        return free_vars(e.cond) | free_vars(e.then) | free_vars(e.els)
-    if isinstance(e, Case):
-        out = free_vars(e.scrutinee)
-        for pat, body in e.branches:
-            out |= free_vars(body) - set(pat.vars)
-        return out
-    if isinstance(e, (SelfCall, ExtCall)):
-        return set().union(*(free_vars(a) for a in e.args)) if e.args else set()
-    if isinstance(e, RefNew):
-        return free_vars(e.value)
-    if isinstance(e, RefGet):
-        return free_vars(e.ref)
-    if isinstance(e, RefSet):
-        return free_vars(e.ref) | free_vars(e.value)
-    raise AssertionError(e)
+    pures, subs = (_pexpr_children(e), ()) if isinstance(e, PExpr) \
+        else _expr_children(e)
+    out: set[str] = set()
+    for p in pures:
+        out |= free_vars(p)
+    for names, sub in subs:
+        out |= free_vars(sub).difference(names)
+    return out
+
+
+def bound_names(e: Expr) -> set[str]:
+    """The names bound anywhere in the computation ``e``."""
+    out: set[str] = set()
+    for names, sub in _expr_children(e)[1]:
+        out.update(names)
+        out |= bound_names(sub)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1658,43 +1661,25 @@ def _alpha_p(a: PExpr, b: PExpr, same_var: Callable[[str, str], bool]) -> bool:
 def _alpha_e(a: Expr, b: Expr, env: dict[str, str]) -> bool:
     """Alpha-equivalence of computations; ``env`` maps the binders of ``a``
     in scope to those of ``b``."""
-    if type(a) is not type(b):
+    if type(a) is not type(b) or isinstance(a, ExtCall) and a.name != b.name \
+            or isinstance(a, Case) and [p.ctor for p, _ in a.branches] \
+            != [p.ctor for p, _ in b.branches]:
+        return False
+    (pa, sa), (pb, sb) = _expr_children(a), _expr_children(b)
+    if len(pa) != len(pb) or len(sa) != len(sb):
         return False
 
     def renamed(x: str, y: str) -> bool:
         return env.get(x, x) == y
 
-    if isinstance(a, Return):
-        return _alpha_p(a.value, b.value, renamed)
-    if isinstance(a, Bind):
-        return _alpha_e(a.head, b.head, env) and \
-            _alpha_e(a.body, b.body, {**env, a.var: b.var})
-    if isinstance(a, If):
-        return _alpha_p(a.cond, b.cond, renamed) \
-            and _alpha_e(a.then, b.then, env) and _alpha_e(a.els, b.els, env)
-    if isinstance(a, Case):
-        if len(a.branches) != len(b.branches) \
-                or not _alpha_p(a.scrutinee, b.scrutinee, renamed):
+    for x, y in zip(pa, pb):
+        if not _alpha_p(x, y, renamed):
             return False
-        for (pa, ea), (pb, eb) in zip(a.branches, b.branches):
-            if pa.ctor != pb.ctor or len(pa.vars) != len(pb.vars):
-                return False
-            if not _alpha_e(ea, eb, {**env, **dict(zip(pa.vars, pb.vars))}):
-                return False
-        return True
-    if isinstance(a, (SelfCall, ExtCall)):
-        if isinstance(a, ExtCall) and a.name != b.name:
+    for (na, x), (nb, y) in zip(sa, sb):
+        if len(na) != len(nb) or not _alpha_e(
+                x, y, {**env, **dict(zip(na, nb))} if na else env):
             return False
-        return len(a.args) == len(b.args) and all(
-            _alpha_p(x, y, renamed) for x, y in zip(a.args, b.args))
-    if isinstance(a, RefNew):
-        return _alpha_p(a.value, b.value, renamed)
-    if isinstance(a, RefGet):
-        return _alpha_p(a.ref, b.ref, renamed)
-    if isinstance(a, RefSet):
-        return _alpha_p(a.ref, b.ref, renamed) \
-            and _alpha_p(a.value, b.value, renamed)
-    raise AssertionError(a)
+    return True
 
 
 def alpha_equivalent(a: Union[Program, FunDef, Expr], b) -> bool:

@@ -189,6 +189,57 @@ class TestExitCodes:
         assert done.returncode == 0 and done.stdout == f"OkPure([{items}])\n"
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("args", ["1 + 2", "1 # 2"])
+    def test_non_literal_args_are_1(self, capsys, args):
+        code, out, err = run(capsys, "eval", corpus("trace.mfx"), "--args", args)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["eval"], ["approx", "--max-fuel", "3"]],
+                             ids=["eval", "approx"])
+    @pytest.mark.parametrize("cell,want", [
+        ("true", ["cell 0", "bool", "node"]),
+        ("Node(true, ref0)", ["cell 0", "bool", "nat", "node"]),
+    ], ids=["bool-cell", "bool-ctor-arg"])
+    def test_ill_typed_heap_cell_is_1(self, capsys, tmp_path, command, cell, want):
+        heap = tmp_path / "bad.heap"
+        heap.write_text(f"0 ↦ {cell}\nnext=1\n", encoding="utf-8")
+        code, out, err = run(capsys, command[0], corpus("traverse.mfx"),
+                             "--args", "Node(1, ref0)", "--heap", str(heap),
+                             *command[1:])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(w in err for w in want), err
+
+    def test_long_cons_chain(self, tmp_path):
+        # In a fresh interpreter, with Python's default recursion limit: a
+        # '#' chain parses in a loop.
+        src = tmp_path / "same.mfx"
+        src.write_text("option fun same(xs : list nat) : list nat = return xs\n",
+                       encoding="utf-8")
+        items = [str(i % 10) for i in range(2000)]
+        environ = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "mfx.cli", "eval", str(src),
+             "--args", " # ".join(items + ["[]"])],
+            env=environ, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0
+        assert done.stdout == f"OkPure([{', '.join(items)}])\n"
+
+    def test_long_list_literal_in_program(self, tmp_path):
+        # In a fresh interpreter: renaming and the continuity check leave a
+        # closed list literal alone, so `check` needs no deep recursion.
+        src = tmp_path / "lit.mfx"
+        items = ", ".join(str(i % 10) for i in range(2000))
+        src.write_text(f"option fun f(n : nat) : list nat = return [{items}]\n",
+                       encoding="utf-8")
+        environ = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "mfx.cli", "check", str(src)],
+            env=environ, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0
+        assert done.stdout == "f: continuous (2 rule applications)\n"
+
     def test_heap_audit_rejected(self, capsys):
         code, _, err = run(capsys, "audit", corpus("occurs.mfx"),
                            "--fun", "occurs", "--q",

@@ -484,6 +484,27 @@ class TestSampledCheck:
         v = check_rule_sampled(rule, q_bump_wrong, dom)
         assert not v.obligations_hold
 
+    def test_cell_type_must_be_a_reference_type(self):
+        # The cell domain holds values of cell_type, and the function reads
+        # them as the τ of its ref τ parameters: a cell type that is none
+        # of them is a one-line error, not a crash inside the evaluator.
+        prog = parse_program("""
+        datatype node = Empty | Node nat (ref node)
+        heap fun inc(r : ref nat) : nat = do x <- !r; r := x + 1; return x done
+        """)
+        rule = refined_rule(prog.fun_def("inc"), prog)
+
+        def q_any(r, h, h2, y):
+            return True
+
+        v = check_rule_sampled(rule, q_any, DomainSpec(
+            nat_max=2, heap_max_cells=1, cell_type=NAT))
+        assert v.obligations_hold and v.conclusion_holds
+        with pytest.raises(MfxError, match="cell type node") as e:
+            check_rule_sampled(rule, q_any, DomainSpec(
+                nat_max=2, heap_max_cells=1, cell_type=TData("node")))
+        assert "\n" not in str(e.value)
+
     def test_budget_exceeded(self, occurs_prog):
         rule = refined_rule(occurs_prog.fun_def("occurs"), occurs_prog)
         dom = DomainSpec(nat_max=0, heap_max_cells=2, cell_type=TData("rtrm"),

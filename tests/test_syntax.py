@@ -4,10 +4,11 @@ import pytest
 
 from mfx.corpus import PROGRAMS, load_program
 from mfx.errors import DslTypeError, MonadError, ParseError, ScopeError
-from mfx.syntax import (Bind, Case, If, Return, SelfCall, PCall, PVar,
-                        alpha_equivalent, free_vars, parse_program,
-                        parse_values, pretty, pretty_program, RefGet,
-                        _pexpr_children, ExtCall, RefNew, RefSet)
+from mfx.syntax import (Bind, Case, If, Return, SelfCall, PCall, PVar, NAT, BOOL, TData, TList, TOption, TRef, TVar,
+                        alpha_equivalent, check_fun_def, free_vars,
+                        instantiate, parse_program, parse_values, pretty,
+                        pretty_program, RefGet, _pexpr_children, ExtCall,
+                        RefNew, RefSet)
 
 
 def all_exprs(e):
@@ -180,6 +181,22 @@ class TestParsing:
                     assert not any(
                         isinstance(n, PCall) and n.name == f.name
                         for n in pexpr_nodes(part))
+
+
+class TestChecker:
+    def test_binder_types(self, occurs_prog):
+        rtrm = TData("rtrm")
+        f = occurs_prog.fun_def("occurs")
+        assert check_fun_def(f, occurs_prog.names) == {
+            "t": rtrm, "n": NAT, "s": TOption(TRef(rtrm)), "rp": TRef(rtrm),
+            "n1": NAT, "r3": TRef(rtrm), "r4": TRef(rtrm), "b": BOOL}
+
+    def test_instantiate(self):
+        t = TData("pair", (TVar("a"), TList(TRef(TVar("b")))))
+        assert instantiate(t, {"a": NAT, "b": BOOL}) == \
+            TData("pair", (NAT, TList(TRef(BOOL))))
+        with pytest.raises(KeyError):
+            instantiate(TVar("c"), {})
 
 
 class TestFreeVars:
