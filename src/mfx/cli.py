@@ -14,7 +14,8 @@ Value literals on the command line use the DSL's pure-expression syntax
 per line plus ``next=n``.
 
 The audit predicate file is a small DSL program whose last definition must
-be ``option fun q(<function params>, <result>) : bool``; the audit runs it
+be ``option fun q(<function params>, <result>) : bool``, typed like the
+function's parameters and result (a mismatch is exit 1); the audit runs it
 with the fuel cap, so reference recursions are allowed.  A run of q that
 does not terminate within the cap is an error (exit 1), not a false
 verdict.  Heap-monad rules need predicates over heaps and are audited
@@ -233,6 +234,12 @@ def _q_oracle_from_spec(path: str, fundef, cap: int):
         raise StaticError(
             f"q must take {len(fundef.params) + 1} argument(s): "
             f"the parameters of {fundef.name!r} plus its result")
+    wanted = [(f"parameter {n!r}", t) for n, t in fundef.params]
+    wanted.append(("result", fundef.result_type))
+    for (qname, qty), (what, ty) in zip(q.params, wanted):
+        if qty != ty:
+            raise StaticError(f"q's parameter {qname!r} has type {qty}, but "
+                              f"{fundef.name}'s {what} has type {ty}")
 
     def oracle(*vals) -> bool:
         out = run_lfp(qprog, "q", vals, EMPTY_HEAP, cap)

@@ -26,14 +26,22 @@ if/case structure:
 Rule terms reuse the pure-expression syntax; heap applications appear as
 calls of the reserved names ``get_ref``, ``set_ref``, and ``new_ref_with``.
 
-check_rule_sampled is a desk-scale audit, not a prover: it enumerates the
-quantified variables of each obligation over small bounded domains and,
+check_rule_sampled is a desk-scale audit, not a prover: it searches each
+obligation for a counterexample over small bounded domains and,
 independently, brute-forces the rule's conclusion against an executable
-predicate.  It compiles each rule term once per audit with the evaluator's
-compile_pure, whose code applies get_ref and set_ref through heap_get and
-heap_set and evaluates both operands of ``and`` and ``or``; an assignment
-under which any term, run or predicate reads a dangling reference lies
-outside the domain and is skipped.
+predicate.  The search follows a plan fixed once per obligation, as in the
+mode analysis of Isabelle's predicate compiler: each premise is one test
+that evaluates its inputs (the bound side of an equation, a condition,
+call arguments and pre-heap, the allocated value) and matches its outputs
+against what they determine.  Matching binds an unbound variable, takes a
+constructor shape apart and compares a bound term, so checking a premise
+and solving it are the same code.  A premise enumerates its first unbound
+variable, in quantifier order, while its inputs are not all bound or an
+unbound variable of its outputs sits under any other form.  Terms compile
+once with the evaluator's compile_pure, whose code applies get_ref and
+set_ref through heap_get and heap_set and evaluates both operands of
+``and`` and ``or``; an assignment under which any term, run or predicate
+reads a dangling reference lies outside the domain and is skipped.
 """
 
 from __future__ import annotations
@@ -222,16 +230,6 @@ def premise_vars(p: Premise) -> set[str]:
         elif role == _VAR:
             out.add(v)
     return out
-
-
-def _premise_terms(p: Premise):
-    """The rule terms of a premise, in field order."""
-    for name, role in _PREMISE_FIELDS[type(p)]:
-        v = getattr(p, name)
-        if role == _TERM and v is not None:
-            yield v
-        elif role == _TERMS:
-            yield from v
 
 
 # ---------------------------------------------------------------------------
@@ -932,45 +930,149 @@ def _cell_types(rule: InductionRule, spec: DomainSpec) -> set[Type]:
     return out
 
 
-def _match_value(t: Term, v, env: dict[str, object], quantified: set[str]):
-    """Match a constructor-shaped term against a value, binding unbound
-    quantified variables.  Returns the extended env or None."""
-    if isinstance(t, PVar) and t.name in quantified:
-        if t.name in env:
-            return env if env[t.name] == v else None
-        out = dict(env)
-        out[t.name] = v
-        return out
-    if isinstance(t, PNat):
-        return env if v == VNat(t.value) else None
-    if isinstance(t, PBool):
-        return env if v == VBool(t.value) else None
-    if isinstance(t, PUnit):
-        return env if v == VUnit() else None
-    if isinstance(t, PNil):
-        return env if v == VList(()) else None
+def _matcher(t: Term, unbound: set[str], program: Program):
+    """Compile ``t`` into ``m(value, env)``: is the value one of ``t``'s?
+    A term with no unbound variable is evaluated and compared, an unbound
+    variable is bound in env (and removed from ``unbound``), and a
+    constructor shape (``#``, ``Some``, a datatype constructor) is taken
+    apart.  None if an unbound variable sits under any other form."""
+    if not free_vars(t) & unbound:
+        code = compile_pure(t, program)
+        return lambda v, env: code(env) == v
+    if isinstance(t, PVar):
+        name = t.name
+        unbound.remove(name)
+
+        def bind(v, env):
+            env[name] = v
+            return True
+        return bind
+    if not isinstance(t, (PCons, PSome, PCtor)):
+        return None
+    subs = [_matcher(c, unbound, program) for c in _pexpr_children(t)]
+    if None in subs:
+        return None
     if isinstance(t, PCons):
-        if not isinstance(v, VList) or not v.length:
-            return None
-        env2 = _match_value(t.head, v.head, env, quantified)
-        if env2 is None:
-            return None
-        return _match_value(t.tail, v.tail, env2, quantified)
-    if isinstance(t, PNone):
-        return env if isinstance(v, VNone) else None
+        head, tail = subs
+        return lambda v, env: (isinstance(v, VList) and v.length > 0
+                               and head(v.head, env) and tail(v.tail, env))
     if isinstance(t, PSome):
-        if not isinstance(v, VSome):
+        [arg] = subs
+        return lambda v, env: isinstance(v, VSome) and arg(v.value, env)
+    name, arity = t.name, len(subs)
+    return lambda v, env: (isinstance(v, VCtor) and v.name == name
+                           and len(v.args) == arity
+                           and all(m(a, env) for m, a in zip(subs, v.args)))
+
+
+def _premise_test(p: Premise, unbound: set[str], program: Program, cap: int,
+                  q_oracle) -> Optional[Callable[[dict], bool]]:
+    """The one test of premise ``p`` once just the variables in ``unbound``
+    are unbound, or None while ``p`` must enumerate first.  The test
+    evaluates the premise's inputs, runs what they determine and matches
+    its outputs, so it checks and solves alike."""
+    if isinstance(p, PureEq):
+        src, dst = (p.rhs, p.lhs) if not free_vars(p.rhs) & unbound \
+            else (p.lhs, p.rhs)
+        inputs, outputs, run = (src,), (dst,), lambda v: (v,)
+    elif isinstance(p, PureCond):
+        inputs, outputs, run = (p.cond,), (PBool(p.positive),), lambda v: (v,)
+    elif isinstance(p, Hyp):
+        heaps = () if p.pre is None else (p.pre, p.post)
+        inputs, outputs = (*p.args, *heaps, p.result), ()
+        run = lambda *vs: () if q_oracle(*vs) else None
+    elif isinstance(p, OptEq):
+        inputs, outputs, fun = p.args, (p.result,), p.fun
+
+        def run(*args):  # run_lfp by name: the traced bench wraps it
+            out = run_lfp(program, fun, args, EMPTY_HEAP, cap)
+            return (out.value,) if isinstance(out, OkPure) else None
+    elif isinstance(p, SemTriple):
+        inputs, outputs, fun = (p.pre, *p.args), (p.result, p.post), p.fun
+
+        def run(pre, *args):
+            out = run_lfp(program, fun, args, pre, cap)
+            return (out.value, out.heap) if isinstance(out, Ok) else None
+    elif isinstance(p, HeapNew):
+        inputs, outputs, run = (p.pre, p.value), (p.ref, p.post), heap_alloc
+    else:
+        raise MfxError(f"cannot audit premise {p}")
+    if any(free_vars(t) & unbound for t in inputs):
+        return None
+    left = set(unbound)
+    matchers = [_matcher(t, left, program) for t in outputs]
+    if None in matchers:
+        return None
+    unbound.intersection_update(left)
+    codes = [compile_pure(t, program) for t in inputs]
+
+    def test(env) -> bool:
+        outs = run(*[c(env) for c in codes])
+        return outs is not None and all(m(v, env)
+                                        for m, v in zip(matchers, outs))
+    return test
+
+
+def _plan(ob: Obligation, program: Program, cap: int, q_oracle) -> list:
+    """The search for a counterexample to ``ob``: a list of steps, each
+    either ``(var, type)``, which enumerates var, or a test.  Each premise
+    gets one test, and before it, while it has none, enumerates its first
+    unbound variable in quantifier order.  The variables left are
+    enumerated last, and the last test is that Q fails on the conclusion."""
+    order = [n for n, _ in ob.vars]
+    types = dict(ob.vars)
+    unbound = set(order)
+    steps: list = []
+
+    def enumerate_first(names):
+        v = next(n for n in order if n in unbound and n in names)
+        unbound.remove(v)
+        steps.append((v, types[v]))
+
+    for p in ob.premises:
+        while (test := _premise_test(p, unbound, program, cap, q_oracle)) is None:
+            enumerate_first(premise_vars(p))
+        steps.append(test)
+    while unbound:
+        enumerate_first(unbound)
+    holds = _premise_test(ob.conclusion, unbound, program, cap, q_oracle)
+    steps.append(lambda env: not holds(env))
+    return steps
+
+
+def _search(steps: list, domain_of, bump) -> Optional[dict]:
+    """Run a plan in one loop over a stack of enumeration cursors, writing
+    into one env.  A failed test, or one that reads a dangling reference
+    (the assignment lies outside the well-formed slice of the domain),
+    resumes the innermost cursor with values left.  Returns the env of the
+    first run through every step, or None."""
+    env: dict = {}
+    cursors = []  # (step after the enumeration, var, values left)
+    i = 0
+    while i < len(steps):
+        step = steps[i]
+        if isinstance(step, tuple):
+            var, ty = step
+            cursors.append((i + 1, var, iter(domain_of(ty))))
+        else:
+            try:
+                if step(env):
+                    i += 1
+                    continue
+            except DanglingRef:
+                pass
+        while cursors:
+            resume, var, values = cursors[-1]
+            val = next(values, None)
+            if val is not None:
+                bump()
+                env[var] = val
+                i = resume
+                break
+            cursors.pop()
+        else:
             return None
-        return _match_value(t.arg, v.value, env, quantified)
-    if isinstance(t, PCtor):
-        if not isinstance(v, VCtor) or v.name != t.name or len(v.args) != len(t.args):
-            return None
-        for sub, arg in zip(t.args, v.args):
-            env = _match_value(sub, arg, env, quantified)
-            if env is None:
-                return None
-        return env
-    return None  # not a pattern shape
+    return env
 
 
 def check_rule_sampled(rule: InductionRule,
@@ -979,14 +1081,14 @@ def check_rule_sampled(rule: InductionRule,
                        fuel_cap: Optional[int] = None) -> Verdict:
     """Audit a refined rule against an executable predicate.
 
-    (a) every obligation is checked by enumerating its quantified variables
-    over the bounded domain, treating Q applications as oracle calls;
+    (a) each obligation is searched for a counterexample over the bounded
+    domain by its plan (see the module docstring), treating Q applications
+    as oracle calls;
     (b) the conclusion is brute-forced independently: wherever the function
     terminates on an enumerated input, the oracle must hold.
 
     The domain of each type is enumerated once per call and reused by every
-    obligation and by the conclusion.  Every term of the rule is compiled
-    once per call, not walked again for each assignment.
+    obligation and by the conclusion.
 
     ObligationsHold together with ConclusionHolds is the desk-scale shadow
     of the rule's soundness.  Raises BudgetExceeded past max_nodes.
@@ -1019,164 +1121,12 @@ def check_rule_sampled(rule: InductionRule,
         if nodes > domain.max_nodes:
             raise BudgetExceeded(f"enumeration exceeded {domain.max_nodes} nodes")
 
-    # Every term of the rule is compiled once for this call.  The rule holds
-    # the terms, so their ids stay unique while it runs.
-    code = {id(t): compile_pure(t, program) for ob in rule.obligations
-            for p in (*ob.premises, ob.conclusion) for t in _premise_terms(p)}
-
-    def ev(t: Term, env) -> Value:
-        return code[id(t)](env)
-
-    # A DanglingRef raised by a term, a run or the oracle means the
-    # assignment lies outside the well-formed slice of the domain: run()
-    # skips it.
-    def oracle_for(h: Hyp, env) -> bool:
-        args = [ev(a, env) for a in h.args]
-        if h.pre is not None:
-            args += [ev(h.pre, env), ev(h.post, env)]
-        args.append(ev(h.result, env))
-        return bool(q_oracle(*args))
-
-    def premise_true(p: Premise, env) -> bool:
-        if isinstance(p, PureEq):
-            return ev(p.lhs, env) == ev(p.rhs, env)
-        if isinstance(p, PureCond):
-            return ev(p.cond, env).value == p.positive
-        if isinstance(p, Hyp):
-            return oracle_for(p, env)
-        if isinstance(p, OptEq):
-            args = tuple(ev(a, env) for a in p.args)
-            out = run_lfp(program, p.fun, args, EMPTY_HEAP, cap)
-            want = ev(p.result, env)
-            return isinstance(out, OkPure) and out.value == want
-        if isinstance(p, SemTriple):
-            args = tuple(ev(a, env) for a in p.args)
-            out = run_lfp(program, p.fun, args, ev(p.pre, env), cap)
-            return isinstance(out, Ok) and out.value == ev(p.result, env) \
-                and out.heap == ev(p.post, env)
-        if isinstance(p, HeapNew):
-            r, post = heap_alloc(ev(p.pre, env), ev(p.value, env))
-            return ev(p.ref, env) == r and ev(p.post, env) == post
-        raise MfxError(f"cannot audit premise {p}")
-
-    def try_define(p: Premise, env, quantified) -> Optional[dict]:
-        """Use a premise as a defining equation for its unbound variables.
-
-        Returns an extended env, None if the premise refutes the current
-        assignment, or raises _NoSolve to fall back to enumeration."""
-        def bound(t: Term) -> bool:
-            return all(v in env for v in free_vars(t) if v in quantified)
-
-        if isinstance(p, PureEq):
-            for pat, other in ((p.lhs, p.rhs), (p.rhs, p.lhs)):
-                if bound(other) and not bound(pat):
-                    m = _match_value(pat, ev(other, env), env, quantified)
-                    if m is None and _is_pattern(pat, quantified):
-                        return None
-                    if m is not None:
-                        return m
-            raise _NoSolve
-        if isinstance(p, (OptEq, SemTriple)):
-            pre_ok = not isinstance(p, SemTriple) or bound(p.pre)
-            if all(bound(a) for a in p.args) and pre_ok:
-                args = tuple(ev(a, env) for a in p.args)
-                pre = ev(p.pre, env) if isinstance(p, SemTriple) else EMPTY_HEAP
-                out = run_lfp(program, p.fun, args, pre, cap)
-                if isinstance(out, (OkPure, Ok)):
-                    m = _match_value(p.result, out.value, env, quantified)
-                    if m is None:
-                        return None
-                    if isinstance(p, SemTriple):
-                        m = _match_value_heap(p.post, out.heap, m, quantified)
-                        if m is None:
-                            return None
-                    return m
-                return None
-            raise _NoSolve
-        if isinstance(p, HeapNew):
-            if bound(p.value) and bound(p.pre):
-                r, post = heap_alloc(ev(p.pre, env), ev(p.value, env))
-                m = _match_value(p.ref, r, env, quantified)
-                if m is None:
-                    return None
-                return _match_value_heap(p.post, post, m, quantified)
-            raise _NoSolve
-        raise _NoSolve
-
-    def _match_value_heap(t: Term, h, env, quantified):
-        if isinstance(t, PVar) and t.name in quantified:
-            if t.name in env:
-                return env if env[t.name] == h else None
-            out = dict(env)
-            out[t.name] = h
-            return out
-        return env if ev(t, env) == h else None
-
-    def _is_pattern(t: Term, quantified) -> bool:
-        if isinstance(t, PVar):
-            return t.name in quantified
-        if isinstance(t, (PNat, PBool, PUnit, PNil, PNone)):
-            return True
-        if isinstance(t, (PCons, PSome, PCtor)):
-            return all(_is_pattern(c, quantified) for c in _pexpr_children(t))
-        return False
-
-    def check_obligation(ob: Obligation) -> Optional[dict]:
-        quantified = {n for n, _ in ob.vars}
-        types = dict(ob.vars)
-        prems = list(ob.premises)
-        prem_vars = [premise_vars(p) for p in prems]
-
-        def enumerate_var(i: int, v: str, env: dict) -> Optional[dict]:
-            for val in domain_of(types[v]):
-                bump()
-                w = run(i, {**env, v: val})
-                if w is not None:
-                    return w
-            return None
-
-        def run(i: int, env: dict) -> Optional[dict]:
-            if i == len(prems):
-                unbound = [n for n, _ in ob.vars if n not in env]
-                if unbound:
-                    return enumerate_var(i, unbound[0], env)
-                try:
-                    ok = oracle_for(ob.conclusion, env)
-                except DanglingRef:
-                    return None
-                return None if ok else env
-            p = prems[i]
-            pv = prem_vars[i]
-            # Quantifier order keeps enumeration (and witnesses) deterministic.
-            needed = [n for n, _ in ob.vars if n in pv and n not in env]
-            if not needed:
-                try:
-                    holds = premise_true(p, env)
-                except DanglingRef:
-                    return None
-                return run(i + 1, env) if holds else None
-            try:
-                solved = try_define(p, env, quantified)
-            except _NoSolve:
-                return enumerate_var(i, needed[0], env)
-            except DanglingRef:
-                return None
-            if solved is None:
-                return None
-            still = [n for n, _ in ob.vars if n in pv and n not in solved]
-            if still:
-                return enumerate_var(i, still[0], env)
-            # A successful solve already established the premise.
-            return run(i + 1, solved)
-
-        return run(0, {})
-
     failed_i, ob_witness = None, None
     for i, ob in enumerate(rule.obligations):
-        w = check_obligation(ob)
+        w = _search(_plan(ob, program, cap, q_oracle), domain_of, bump)
         if w is not None:
             failed_i = i
-            ob_witness = tuple(sorted((k, v) for k, v in w.items()))
+            ob_witness = tuple(sorted(w.items()))
             break
 
     # (b) independent brute force of the conclusion over enumerated inputs.
@@ -1212,7 +1162,3 @@ def check_rule_sampled(rule: InductionRule,
 
     return Verdict(failed_i is None, failed_i, ob_witness,
                    concl_witness is None, concl_witness, nodes)
-
-
-class _NoSolve(Exception):
-    """A premise cannot define its unbound variables; enumerate instead."""

@@ -154,6 +154,26 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "q(" in err and f"fuel cap {fuel}" in err
 
+    @pytest.mark.parametrize("q_text,mismatch", [
+        ("datatype t = A | B\n"
+         "option fun q(n : nat, ys : t) : bool =\n"
+         "  case ys of A => return true | B => return false\n",
+         "q's parameter 'ys' has type t, but trace's result has type list nat"),
+        ("option fun q(n : bool, ys : list nat) : bool = return n\n",
+         "q's parameter 'n' has type bool, but trace's parameter 'n' has "
+         "type nat"),
+    ], ids=["result", "parameter"])
+    def test_ill_typed_audit_predicate_is_1(self, capsys, tmp_path, q_text,
+                                            mismatch):
+        # q must take the function's parameter types and then its result
+        # type; the first mismatch is named before any run of q.
+        q = tmp_path / "q.mfx"
+        q.write_text(q_text)
+        code, out, err = run(capsys, "audit", corpus("trace.mfx"),
+                             "--q", str(q))
+        assert code == 1 and out == ""
+        assert err == f"error: {mismatch}\n"
+
     @pytest.mark.parametrize("env,argv,stdout", [
         (None, ["--fuel", "100000"], "Diverged(100000)\n"),
         ("100000", [], "Diverged(100000)\n"),

@@ -2,14 +2,19 @@
 reference rules, rendering, JSON round-trips, and the sampled soundness
 audit."""
 
+import importlib.util
 import json
+import random
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from mfx.continuity import check_continuous
-from mfx.domain import VBool, VList, VNone
+from mfx.domain import EMPTY_HEAP, Ok, OkPure, VBool, VList, VNat, VNone, VRef
 from mfx.errors import BudgetExceeded, MfxError, NotContinuous
+from mfx.evaluator import run_lfp
 from mfx.induction import (BodyEq, BodySem, DomainSpec, GeneralHyp, HeapNew,
                            Hyp, InductionRule, Obligation, OptEq, PureCond,
                            PureEq, check_rule_sampled,
@@ -524,3 +529,109 @@ class TestSampledCheck:
         # Obligations 2 and 3 are vacuous; obligation 1 is closed and holds
         # even for the wrong predicate ([] = []); no inputs to brute-force.
         assert v.obligations_hold and v.conclusion_holds
+
+    def test_call_premise_with_computed_result(self):
+        # g(n) = Some(y + 1) names y only under +: the audit enumerates y and
+        # compares, where a refutation of every assignment would make the
+        # obligation hold vacuously.
+        prog = parse_program("""
+        option fun g(n : nat) : nat = return n + 1
+        option fun f(n : nat, y : nat) : nat =
+          do x <- g(n); if x = y + 1 then return y else return 0 done
+        """)
+        rule = refined_rule(prog.fun_def("f"), prog)
+        first = replace(rule, obligations=rule.obligations[:1])
+        assert "g(n) = Some(y + 1)" in render_rule(first)
+        v = check_rule_sampled(first, lambda n, y, r: r == VNat(0),
+                               DomainSpec(nat_max=3))
+        assert v.failed_obligation == 0
+        assert dict(v.obligation_witness) == {"n": VNat(1), "y": VNat(1)}
+
+    def test_heap_call_premise_with_computed_result(self):
+        # The result a + 1 is bound once r, a and h are, while h' is not:
+        # the call's result is compared and its final heap bound.
+        prog = parse_program("""
+        heap fun g(r : ref nat, a : nat) : nat = do r := a; return a + 1 done
+        heap fun f(r : ref nat, a : nat) : nat =
+          do x <- g(r, a); if x = a + 1 then return 1 else return 0 done
+        """)
+        rule = refined_rule(prog.fun_def("f"), prog)
+        first = replace(rule, obligations=rule.obligations[:1])
+        assert "(h, h', a + 1) ∈ ⟦g(r, a)⟧" in render_rule(first)
+        v = check_rule_sampled(first, lambda r, a, h, h2, y: y == VNat(0),
+                               DomainSpec(nat_max=2, heap_max_cells=1,
+                                          cell_type=NAT))
+        assert v.failed_obligation == 0
+        w = dict(v.obligation_witness)
+        assert w["a"] == VNat(0) and w["r"] == VRef(0)
+
+    def test_deep_obligation(self):
+        # 1000 chained premises x{i+1} = x{i} + 1: the search runs in one
+        # loop, so its depth does not meet Python's recursion limit.
+        prog = parse_program("option fun f(n : nat) : nat = return n + 1000")
+        xs = [f"x{i}" for i in range(1001)]
+        ob = Obligation(
+            tuple((x, NAT) for x in xs),
+            tuple(PureEq(PVar(b), PBin("+", PVar(a), PNat(1)))
+                  for a, b in zip(xs, xs[1:])),
+            Hyp((PVar("x0"),), PVar("x1000")))
+        rule = InductionRule("f", "option", "refined", (("n", NAT),), NAT,
+                             (ob,), program=prog)
+        dom = DomainSpec(nat_max=3)
+        v = check_rule_sampled(
+            rule, lambda n, r: r.value == n.value + 1000, dom)
+        assert v.obligations_hold and v.conclusion_holds
+        assert v.assignments_checked == 8
+        v = check_rule_sampled(rule, lambda n, r: r == n, dom)
+        w = dict(v.obligation_witness)
+        assert w["x0"] == VNat(0) and w["x1000"] == VNat(1000)
+
+
+def _bench_gen():
+    """bench/gen.py, the seeded program generator (it imports no mfx)."""
+    path = Path(__file__).parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("mfx_bench_gen", path)
+    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def graph_oracle(prog, f, cap):
+    """Q ≝ the graph of f at the cap: f(x) = y, and for a heap function
+    f(x) run on h gives Ok(y, h').  Runs are cached by arguments and heap."""
+    runs = {}
+    n = len(f.params)
+
+    def q(*vals):
+        heap = vals[n] if f.monad == "heap" else EMPTY_HEAP
+        key = (vals[:n], heap)
+        if key not in runs:
+            runs[key] = run_lfp(prog, f.name, vals[:n], heap, cap)
+        out = runs[key]
+        if f.monad == "heap":
+            return isinstance(out, Ok) and (out.heap, out.value) == vals[n + 1:]
+        return isinstance(out, OkPure) and out.value == vals[n]
+    return q
+
+
+class TestGeneratedPrograms:
+    def test_refined_rules_hold_for_own_graph(self):
+        # Seeded bench/gen.py programs mix option and heap functions with
+        # calls of earlier functions and allocation, so their rules carry
+        # OptEq, SemTriple and HeapNew premises.  The graph of the least
+        # fixed point satisfies every obligation of a sound refined rule.
+        gen = _bench_gen()
+        dom = DomainSpec(nat_max=3, heap_max_cells=1, cell_type=NAT,
+                         fuel_cap=8)
+        total = 0
+        for seed in range(10):
+            g = gen.gen_program(random.Random(seed), 4)
+            prog = parse_program(g.text)
+            for name in g.fun_names:
+                f = prog.fun_def(name)
+                v = check_rule_sampled(refined_rule(f, prog),
+                                       graph_oracle(prog, f, 8), dom)
+                assert v.obligations_hold and v.conclusion_holds, (seed, name)
+                total += v.assignments_checked
+        # The count pins the enumeration order and what each premise solves.
+        assert total == 9813
