@@ -28,6 +28,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .continuity import ContinuityFailure, check_continuous, explain
@@ -351,10 +352,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; each parse_args call starts from a
+    fresh namespace, so calls share no state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

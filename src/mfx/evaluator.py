@@ -27,31 +27,42 @@ result heap once.  Bottom and a dangling reference just drop the store, and
 the input heap is never changed.
 
 Every definition is compiled once per Program object, on first use, and
-the code is kept in ``Program.compiled``.  Pure expressions and rule terms
-become closures from an environment to a value (closure generation).  Pure
-code cannot recurse, so its nesting is bounded by the program text.  A
-monadic body becomes a step function, and one loop runs the steps over an
+the code is kept in ``Program.compiled``.  As Imperative HOL runs heap
+programs as generated code, compiling generates Python source and compiles
+it with ``compile()``.  A monadic body becomes one function per segment,
+the code between two call points, and one loop runs the segments over an
 explicit stack of pending binds: the CEK machine obtained by
-defunctionalizing a direct-style evaluator.  A recursive call is a jump of
-that loop, not a Python call, so the depth of a run is bounded by memory
-alone.  Bottom propagates through every bind of both monads, so a self-call
-at fuel 0 ends the whole run.
+defunctionalizing a direct-style evaluator.  A call is a jump of that
+loop, not a Python call, so the depth of a run is bounded by memory alone.
+A bind whose head cannot call (``return``, ``!r``, ``r := e``, ``ref e``,
+and ``if``/``case`` over those) runs in place with its binder in a Python
+local.  Bottom propagates through every bind of both monads, so a
+self-call at fuel 0 ends the whole run.
+
+Pure code and rule terms are emitted in three-address form, one line per
+node, and list spines by a loop.  An ``if`` or ``case`` nested deeper than a
+fixed depth becomes a function of its own, within Python's nesting limits.
+Code is cached by its source text in one bounded cache, as the CLI parses
+its file on every call and audits compile the same rule terms every time;
+a rule term that is a variable or a literal needs no source.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
+from types import CodeType
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .domain import (BOTTOM, FALSE, TRUE, Chain, Heap, Ok, OkPure, Outcome,
                      UNIT_V, VCtor, VNat, VNone, VRef, VSome, Value, cons,
                      dangling, heap_get, heap_set, outcome_le, pexpr_to_value)
 from .errors import ChainViolation, DslTypeError
-from .syntax import (Bind, Case, Expr, ExtCall, If, PBin, PCall, PCons,
-                     PCtor, PExpr, PNat, PNil, PNone, PNot, PBool, PRefLit,
-                     Program, PSome, PUnit, PVar, RefGet, RefNew, RefSet,
-                     Return, SelfCall)
+from .syntax import (Bind, Case, Expr, ExtCall, If, PBin, PCons, PCtor, PExpr,
+                     PNat, PNil, PNone, PNot, PBool, PRefLit, Program, PSome,
+                     PUnit, PVar, RefGet, RefNew, RefSet, Return, SelfCall,
+                     _expr_children, free_vars)
 
 DEFAULT_FUEL_CAP = 1000
 
@@ -77,51 +88,288 @@ class Diverged:
 
 
 # ---------------------------------------------------------------------------
-# Pure code (total): closures from an environment to a value
+# Code generation
 # ---------------------------------------------------------------------------
+#
+# A segment is called as seg(push, env, x, store, fuel, fn), with env the
+# variables it reads from outside and store the run's heap (None in the
+# option monad), and returns the next state (code, env, x, fuel, fn), where
+# x is the value returned when code is None.  A bind whose head may call
+# pushes the frame (segment, env, fuel, fn) of its body, which the loop
+# resumes with the returned value as x.
 
 if TYPE_CHECKING:  # a runtime alias would pin Value in typing's cache
     PureCode = Callable[[dict], Value]
     Step = Callable[..., tuple]
 
-
-def _div(a: int, b: int) -> VNat:
-    return VNat(a // b if b else 0)
-
-
-def _mod(a: int, b: int) -> VNat:
-    return VNat(a % b if b else 0)
-
-
-# Operator -> closure over the compiled operands.  Both operands of ``and``
-# and ``or`` are evaluated (``&`` and ``|`` on bools do not short-circuit).
-_BINOPS = {
-    "=": lambda l, r: lambda env: TRUE if l(env) == r(env) else FALSE,
-    "≠": lambda l, r: lambda env: FALSE if l(env) == r(env) else TRUE,
-    "and": lambda l, r: lambda env: TRUE if l(env).value & r(env).value else FALSE,
-    "or": lambda l, r: lambda env: TRUE if l(env).value | r(env).value else FALSE,
-    "<": lambda l, r: lambda env: TRUE if l(env).value < r(env).value else FALSE,
-    "+": lambda l, r: lambda env: VNat(l(env).value + r(env).value),
-    "-": lambda l, r: lambda env: VNat(max(l(env).value - r(env).value, 0)),
-    "div": lambda l, r: lambda env: _div(l(env).value, r(env).value),
-    "mod": lambda l, r: lambda env: _mod(l(env).value, r(env).value),
-}
-
 _LITERALS = (PNat, PBool, PUnit, PNil, PNone, PRefLit)
+_MAX_NESTING = 16          # blocks nested in one generated function
+_CODE_CACHE_SIZE = 256     # compiled sources kept, keyed by their text
+
+# One line per operator.  Both operands of ``and`` and ``or`` are
+# evaluated, div and mod by 0 give 0, and ``-`` truncates at 0.
+_OPS = {
+    "=": "TRUE if {0} == {1} else FALSE",
+    "≠": "FALSE if {0} == {1} else TRUE",
+    "<": "TRUE if {0}.value < {1}.value else FALSE",
+    "and": "TRUE if {0}.value & {1}.value else FALSE",
+    "or": "TRUE if {0}.value | {1}.value else FALSE",
+    "+": "VNat({0}.value + {1}.value)",
+    "-": "VNat(max({0}.value - {1}.value, 0))",
+    "div": "VNat({0}.value // {1}.value if {1}.value else 0)",
+    "mod": "VNat({0}.value % {1}.value if {1}.value else 0)",
+}
+_SIGNATURES = {"seg": "push, env, x, store, fuel, fn", "val": "env, store",
+               "term": "env"}
 
 
-def _binder(names: tuple[str, ...], args: tuple[PureCode, ...]) -> PureCode:
-    """A closure from the caller's environment to a callee's, which binds
-    each parameter to its evaluated argument, left to right."""
-    if len(names) == len(args) == 1:
-        (name,), (arg,) = names, args
-        return lambda env: {name: arg(env)}
-    pairs = tuple(zip(names, args))
-    return lambda env: {name: arg(env) for name, arg in pairs}
+class _Bottom(Exception):
+    """A self-call at fuel 0: bottom, which ends the whole run."""
+
+
+# The globals of generated code besides its constants k<n>.
+_RUNTIME = {"VNat": VNat, "VSome": VSome, "VNone": VNone, "VCtor": VCtor,
+            "VRef": VRef, "TRUE": TRUE, "FALSE": FALSE, "UNIT": UNIT_V,
+            "cons": cons, "heap_get": heap_get, "heap_set": heap_set,
+            "dangling": dangling, "Bottom": _Bottom}
+
+
+@lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _code(source: str) -> CodeType:
+    return compile(source, "<mfx>", "exec")
+
+
+def _may_call(e: Expr) -> bool:
+    """Whether running e may call a function, so a bind on it pushes."""
+    return isinstance(e, (SelfCall, ExtCall)) or \
+        any(_may_call(sub) for _, sub in _expr_children(e)[1])
+
+
+class _Emitter:
+    """The source of one definition or rule term, and its constants.
+
+    A DSL variable is a local t<n> or, when bound outside the function, a
+    key of env; values, constructor names and callee code are constants
+    k<n> of the globals.  The functions f<n> are defined in one factory,
+    mk, which returns f0.  The globals do not keep mk, and code reaches its
+    own function only through fn, so compiled code holds no cycle.
+    """
+
+    def __init__(self, program: Program, params: tuple[str, ...] = ()):
+        self.program, self.params = program, params
+        self.consts: dict[str, object] = {}
+        self.todo: list[tuple[str, str, Expr | PExpr, str | None]] = []
+        self.src = ["def mk():"]
+        self.temps = self.indent = 0
+        self.scope: dict[str, str] = {}   # DSL name -> atom holding it
+        self.locals: set[str] = set()     # names bound in this function
+
+    @staticmethod
+    def quote(name: str) -> str:
+        """The one way DSL text enters the source: a name as a str literal."""
+        if type(name) is not str:
+            raise TypeError(f"not a name: {name!r}")
+        return repr(name)
+
+    def load(self, kind: str, e: Expr | PExpr):
+        """Emit e as f0, a seg, a term or a pure definition's body, and
+        the functions it needs; compile the source and run the factory."""
+        self.later(kind, e)
+        for name, kind, e, var in self.todo:  # grows as segments are found
+            self.scope, self.locals = {}, set()
+            sig = ", ".join(self.bind(p, self.new()) for p in self.params) \
+                if kind == "pure" else _SIGNATURES[kind]
+            self.src.append(f"    def {name}({sig}):")
+            self.indent = 2
+            if var is not None:
+                self.bind(var, "x")
+            if kind == "seg":
+                self.tail(e)
+            else:
+                self.line(f"return {self.value(e) if kind == 'val' else self.pure(e)}")
+        self.src.append("    return f0")
+        g = {**_RUNTIME, **self.consts}
+        exec(_code("\n".join(self.src)), g)
+        return g.pop("mk")()
+
+    def later(self, kind: str, e, var: str | None = None) -> str:
+        self.todo.append((f"f{len(self.todo)}", kind, e, var))
+        return self.todo[-1][0]
+
+    def line(self, text: str):
+        self.src.append("    " * self.indent + text)
+
+    def new(self) -> str:
+        self.temps += 1
+        return f"t{self.temps}"
+
+    def let(self, rhs: str) -> str:
+        t = self.new()
+        self.line(f"{t} = {rhs}")
+        return t
+
+    def const(self, v) -> str:
+        k = f"k{len(self.consts)}"
+        self.consts[k] = v
+        return k
+
+    def bind(self, name: str, atom: str) -> str:
+        self.scope[name] = atom
+        self.locals.add(name)
+        return atom
+
+    def var(self, name: str) -> str:
+        if name not in self.scope:
+            self.scope[name] = self.let(f"env[{self.quote(name)}]")
+        return self.scope[name]
+
+    def env(self, names, atoms) -> str:
+        return "{%s}" % ", ".join(f"{self.quote(n)}: {a}" for n, a in zip(names, atoms))
+
+    def env_of(self, names: set[str]) -> str:
+        """An environment holding names: env itself when none is local."""
+        if not names & self.locals:
+            return "env"
+        names = sorted(names)
+        return self.env(names, [self.var(n) for n in names])
+
+    def pure(self, p: PExpr) -> str:
+        """Emit p, one line per node, and return the atom holding its value."""
+        if isinstance(p, PVar):
+            return self.var(p.name)
+        if isinstance(p, _LITERALS) or isinstance(p, PCtor) and not p.args:
+            return self.const(pexpr_to_value(p))
+        if isinstance(p, PCons):
+            heads = []
+            while isinstance(p, PCons):
+                heads.append(self.pure(p.head))
+                p = p.tail
+            out = self.pure(p)
+            for head in reversed(heads):
+                out = self.let(f"cons({head}, {out})")
+            return out
+        if isinstance(p, PBin):
+            lhs = self.pure(p.lhs)
+            return self.let(_OPS[p.op].format(lhs, self.pure(p.rhs)))
+        if isinstance(p, PSome):
+            return self.let(f"VSome({self.pure(p.arg)})")
+        if isinstance(p, PNot):
+            return self.let(f"FALSE if {self.pure(p.arg)}.value else TRUE")
+        args = [self.pure(a) for a in p.args]
+        if isinstance(p, PCtor):
+            return self.let(f"VCtor({self.const(p.name)}, "
+                            f"({''.join(a + ', ' for a in args)}))")
+        if p.name == "get_ref":
+            return self.let(f"heap_get({args[1]}, {args[0]})")
+        if p.name == "set_ref":
+            return self.let(f"heap_set({args[2]}, {args[0]}, {args[1]})")
+        code = self.const(_pure_def(self.program, p.name))
+        return self.let(f"{code}({', '.join(args)})")
+
+    def tail(self, e: Expr):
+        """Emit e in tail position: code that returns the next state."""
+        while isinstance(e, Bind):
+            if _may_call(e.head):
+                seg = self.later("seg", e.body, e.var)
+                env = self.env_of(free_vars(e.body) - {e.var})
+                self.line(f"push(({seg}, {env}, fuel, fn))")
+                e = e.head
+            else:
+                self.bind(e.var, self.value(e.head))
+                e = e.body
+        if isinstance(e, (If, Case)):
+            self.branches(e, None)
+        elif isinstance(e, SelfCall):
+            self.line("if fuel <= 0:")
+            self.line("    raise Bottom")
+            env = self.env(self.params, [self.pure(a) for a in e.args])
+            self.line(f"return fn, {env}, None, fuel - 1, fn")
+        elif isinstance(e, ExtCall):
+            # Earlier definitions get the whole remaining budget: at fuel
+            # f the callee's own iterate runs at index f + 1.
+            callee = _fun(self.program, e.name)
+            code = self.const(callee.body)
+            env = self.env(callee.params, [self.pure(a) for a in e.args])
+            self.line(f"return {code}, {env}, None, fuel, {code}")
+        else:
+            self.line(f"return None, None, {self.value(e)}, fuel, fn")
+
+    def value(self, e: Expr) -> str:
+        """Emit the call-free e and return the atom holding its value."""
+        while isinstance(e, Bind):
+            self.bind(e.var, self.value(e.head))
+            e = e.body
+        if isinstance(e, Return):
+            return self.pure(e.value)
+        if isinstance(e, (If, Case)):
+            return self.branches(e, self.new())
+        if isinstance(e, RefNew):
+            v = self.pure(e.value)
+            rid = self.let("store.next_id")
+            self.line(f"store.cells[{rid}] = {v}")
+            self.line(f"store.next_id = {rid} + 1")
+            return self.let(f"VRef({rid})")
+        ref = self.pure(e.ref)
+        if isinstance(e, RefGet):
+            out = self.let(f"store.cells.get({ref}.rid)")
+            self.line(f"if {out} is None:")
+        else:
+            v, out = self.pure(e.value), "UNIT"
+            self.line(f"if {ref}.rid not in store.cells:")
+        self.line(f"    raise dangling({ref}.rid)")
+        if isinstance(e, RefSet):
+            self.line(f"store.cells[{ref}.rid] = {v}")
+        return out
+
+    def branches(self, e: If | Case, target: str | None) -> str | None:
+        """Emit an if or a case whose branches return the next state or,
+        given a target, assign their value to it.  Past _MAX_NESTING the
+        whole if or case becomes a function of its own."""
+        if self.indent - 2 >= _MAX_NESTING:
+            env = self.env_of(free_vars(e))
+            if target is None:
+                self.line(f"return {self.later('seg', e)}, {env}, None, fuel, fn")
+            else:
+                self.line(f"{target} = {self.later('val', e)}({env}, store)")
+            return target
+        if isinstance(e, If):
+            arms = [(f"if {self.pure(e.cond)}.value:", (), e.then),
+                    ("else:", (), e.els)]
+        else:
+            s = self.pure(e.scrutinee)
+            option = any(pat.ctor in ("Some", "None") for pat, _ in e.branches)
+            tag = self.let(f"{s}.__class__" if option else
+                           f"{s}.name if {s}.__class__ is VCtor else None")
+            arms, seen = [], set()
+            for pat, body in e.branches:
+                if pat.ctor not in seen:  # the first branch of a ctor wins
+                    seen.add(pat.ctor)
+                    k = self.const({"Some": VSome, "None": VNone}[pat.ctor]
+                                   if option else pat.ctor)
+                    fields = [f"{s}.value"] if option else \
+                        [f"{s}.args[{i}]" for i in range(len(pat.vars))]
+                    arms.append((f"{'elif' if arms else 'if'} {tag} == {k}:",
+                                 tuple(zip(pat.vars, fields)), body))
+            arms.append(("else:", (), None))
+        for head, fields, body in arms:
+            saved = self.scope.copy(), self.locals.copy()
+            self.line(head)
+            self.indent += 1
+            for name, field in fields:
+                self.bind(name, field)
+            if body is None:
+                self.line(f"raise AssertionError(f'no branch matched {{{s}}}')")
+            elif target is None:
+                self.tail(body)
+            else:
+                self.line(f"{target} = {self.value(body)}")
+            self.indent -= 1
+            self.scope, self.locals = saved
+        return target
 
 
 def compile_pure(p: PExpr, program: Program) -> PureCode:
-    """Compile a pure expression or an induction-rule term to a closure
+    """Compile a pure expression or an induction-rule term to a function
     from an environment to its value.
 
     div and mod by zero yield 0, and natural subtraction truncates at zero,
@@ -137,43 +385,17 @@ def compile_pure(p: PExpr, program: Program) -> PureCode:
     if isinstance(p, _LITERALS) or isinstance(p, PCtor) and not p.args:
         v = pexpr_to_value(p)
         return lambda env: v
-    if isinstance(p, PBin):
-        return _BINOPS[p.op](compile_pure(p.lhs, program),
-                             compile_pure(p.rhs, program))
-    if isinstance(p, PCons):
-        head, tail = compile_pure(p.head, program), compile_pure(p.tail, program)
-        return lambda env: cons(head(env), tail(env))
-    if isinstance(p, PSome):
-        arg = compile_pure(p.arg, program)
-        return lambda env: VSome(arg(env))
-    if isinstance(p, PNot):
-        arg = compile_pure(p.arg, program)
-        return lambda env: FALSE if arg(env).value else TRUE
-    args = tuple(compile_pure(a, program) for a in p.args)
-    if isinstance(p, PCtor):
-        name = p.name
-        return lambda env: VCtor(name, tuple([a(env) for a in args]))
-    if isinstance(p, PCall):
-        if p.name == "get_ref":
-            r, h = args
-            return lambda env: heap_get(h(env), r(env))
-        if p.name == "set_ref":
-            r, v, h = args
-            return lambda env: heap_set(h(env), r(env), v(env))
-        body, params = _pure_def(program, p.name)
-        bind = _binder(params, args)
-        return lambda env: body(bind(env))
-    raise AssertionError(p)
+    return _Emitter(program).load("term", p)
 
 
-def _pure_def(program: Program, name: str) -> tuple[PureCode, tuple[str, ...]]:
-    """The compiled body and the parameter names of a pure definition."""
+def _pure_def(program: Program, name: str) -> Callable[..., Value]:
+    """The code of a pure definition: a function of its arguments."""
     key = ("pure", name)
     code = program.compiled.get(key)
     if code is None:
         d = program.pure_def(name)
-        code = program.compiled[key] = (compile_pure(d.body, program),
-                                        tuple(n for n, _ in d.params))
+        code = program.compiled[key] = _Emitter(
+            program, tuple(n for n, _ in d.params)).load("pure", d.body)
     return code
 
 
@@ -187,20 +409,8 @@ def eval_pure(p: PExpr, env: dict[str, Value], program: Program) -> Value:
 
 
 # ---------------------------------------------------------------------------
-# Monadic code: steps run by one loop over an explicit stack
+# Monadic code: segments run by one loop over an explicit stack
 # ---------------------------------------------------------------------------
-#
-# A step is called as step(push, env, store, fuel, fn) and returns the next
-# machine state (code, x, fuel, fn).  store is the run's mutable heap (None
-# in an option-monad run), fn is the body of the function being run, which
-# a self-call re-enters, and fuel is the budget left for its recursive
-# calls.  When code is None, x is the value just returned; otherwise x is
-# the environment that code runs in.  A bind calls push to save its pending
-# body as the frame (body, var, env, fuel, fn), and the loop resumes the
-# innermost frame with each returned value.  If and case call their branch
-# directly, and a bind its head: that nesting is bounded by the program
-# text.  Code refers to its own function only through fn, so compiled code
-# holds no reference cycle.
 
 
 class _Fun(NamedTuple):
@@ -209,10 +419,6 @@ class _Fun(NamedTuple):
     body: Step
     params: tuple[str, ...]
     is_heap: bool
-
-
-class _Bottom(Exception):
-    """A self-call at fuel 0: bottom, which ends the whole run."""
 
 
 class _Store:
@@ -238,106 +444,10 @@ def _fun(program: Program, name: str) -> _Fun:
     if f is None:
         d = program.fun_def(name)
         params = tuple(n for n, _ in d.params)
-        f = program.compiled[key] = _Fun(_compile_expr(d.body, params, program),
-                                         params, d.monad == "heap")
+        f = program.compiled[key] = _Fun(
+            _Emitter(program, params).load("seg", d.body), params,
+            d.monad == "heap")
     return f
-
-
-def _constructor(v: Value) -> tuple[str | None, tuple[Value, ...]]:
-    """The constructor name and the arguments of a value a case splits on."""
-    t = type(v)
-    if t is VCtor:
-        return v.name, v.args
-    if t is VSome:
-        return "Some", (v.value,)
-    return ("None" if t is VNone else None), ()
-
-
-def _compile_expr(e: Expr, params: tuple[str, ...], program: Program) -> Step:
-    """Compile a monadic body whose function has the given parameters."""
-    def pure(p: PExpr) -> PureCode:
-        return compile_pure(p, program)
-
-    def comp(sub: Expr) -> Step:
-        return _compile_expr(sub, params, program)
-
-    if isinstance(e, Return):
-        v = pure(e.value)
-        return lambda push, env, store, fuel, fn: (None, v(env), fuel, fn)
-    if isinstance(e, Bind):
-        var, head, body = e.var, comp(e.head), comp(e.body)
-
-        def bind(push, env, store, fuel, fn):
-            push((body, var, env, fuel, fn))
-            return head(push, env, store, fuel, fn)
-        return bind
-    if isinstance(e, If):
-        cond, then, els = pure(e.cond), comp(e.then), comp(e.els)
-        return lambda push, env, store, fuel, fn: \
-            (then if cond(env).value else els)(push, env, store, fuel, fn)
-    if isinstance(e, Case):
-        scrut = pure(e.scrutinee)
-        branches: dict[str, tuple[tuple[str, ...], Step]] = {}
-        for pat, body in e.branches:
-            branches.setdefault(pat.ctor, (pat.vars, comp(body)))
-
-        def case(push, env, store, fuel, fn):
-            v = scrut(env)
-            ctor, args = _constructor(v)
-            if ctor not in branches:
-                raise AssertionError(f"no branch matched {v}")
-            names, body = branches[ctor]
-            if names:
-                env = env.copy()
-                env.update(zip(names, args))
-            return body(push, env, store, fuel, fn)
-        return case
-    if isinstance(e, SelfCall):
-        bind_args = _binder(params, tuple(map(pure, e.args)))
-
-        def self_call(push, env, store, fuel, fn):
-            if fuel <= 0:
-                raise _Bottom
-            return fn, bind_args(env), fuel - 1, fn
-        return self_call
-    if isinstance(e, ExtCall):
-        # Earlier definitions get the whole remaining budget: at fuel f
-        # the callee's own iterate runs at index f + 1.
-        callee = _fun(program, e.name)
-        callee_body = callee.body
-        bind_args = _binder(callee.params, tuple(map(pure, e.args)))
-        return lambda push, env, store, fuel, fn: \
-            (callee_body, bind_args(env), fuel, callee_body)
-    if isinstance(e, RefNew):
-        v = pure(e.value)
-
-        def ref_new(push, env, store, fuel, fn):
-            rid = store.next_id
-            store.cells[rid] = v(env)
-            store.next_id = rid + 1
-            return None, VRef(rid), fuel, fn
-        return ref_new
-    if isinstance(e, RefGet):
-        ref = pure(e.ref)
-
-        def ref_get(push, env, store, fuel, fn):
-            r = ref(env)
-            try:
-                return None, store.cells[r.rid], fuel, fn
-            except KeyError:
-                raise dangling(r.rid) from None
-        return ref_get
-    if isinstance(e, RefSet):
-        ref, v = pure(e.ref), pure(e.value)
-
-        def ref_set(push, env, store, fuel, fn):
-            r, value, cells = ref(env), v(env), store.cells
-            if r.rid not in cells:
-                raise dangling(r.rid)
-            cells[r.rid] = value
-            return None, UNIT_V, fuel, fn
-        return ref_set
-    raise AssertionError(e)
 
 
 def _run(f: _Fun, args: tuple[Value, ...], h: Heap, fuel: int) -> Outcome:
@@ -346,15 +456,14 @@ def _run(f: _Fun, args: tuple[Value, ...], h: Heap, fuel: int) -> Outcome:
     push, pop = stack.append, stack.pop
     store = _Store(h) if f.is_heap else None
     code = fn = f.body
-    x = dict(zip(f.params, args))
+    env, x = dict(zip(f.params, args)), None
     try:
         while True:
-            code, x, fuel, fn = code(push, x, store, fuel, fn)
+            code, env, x, fuel, fn = code(push, env, x, store, fuel, fn)
             if code is None:
                 if not stack:
                     break
-                code, var, env, fuel, fn = pop()
-                x = {**env, var: x}
+                code, env, fuel, fn = pop()
     except _Bottom:
         return BOTTOM
     return Ok(x, store.freeze()) if f.is_heap else OkPure(x)

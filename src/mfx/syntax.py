@@ -470,10 +470,10 @@ def tokenize(source: str) -> list[Token]:
             if depth:
                 raise ParseError("unterminated block comment", l0, c0)
             continue
-        if c.isdigit():
+        if c.isdecimal():
             l0, c0 = line, col
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
             toks.append(Token("nat", source[i:j], l0, c0))
             advance(j - i)

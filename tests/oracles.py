@@ -8,10 +8,27 @@ reachability.  Divergence is represented by None.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
-from mfx.domain import (Heap, VCtor, VList, VNat, VNone, VRef, VSome,
-                        Value)
+from mfx.domain import (Heap, Ok, OkPure, VBool, VCtor, VList, VNat, VNone,
+                        VRef, VSome, VUnit, Value)
+from mfx.errors import DanglingRef
+from mfx.syntax import (Bind, Case, Expr, ExtCall, If, PBin, PBool, PCall,
+                        PCons, PCtor, PExpr, PNat, PNil, PNone, PNot,
+                        PRefLit, Program, PSome, PUnit, PVar, RefGet, RefNew,
+                        Return, SelfCall)
+
+
+def bench_gen():
+    """bench/gen.py, the seeded program generator (it imports no mfx)."""
+    path = Path(__file__).parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("mfx_bench_gen", path)
+    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def trace_ref(n: int) -> list[int]:
@@ -121,3 +138,125 @@ def random_rtrm_heap(rng: random.Random, max_cells: int = 5) -> Heap:
             cells.append((i, VCtor("App", (VRef(rng.randrange(k)),
                                            VRef(rng.randrange(k))))))
     return Heap(tuple(cells), k)
+
+
+# ---------------------------------------------------------------------------
+# A definitional interpreter of the DSL
+# ---------------------------------------------------------------------------
+#
+# Direct style and fuel-indexed, by the equations of the semantics: the
+# iterate of a definition at index 0 is bottom, and at index i + 1 its body
+# runs with self-calls at index i and calls of earlier definitions at index
+# i + 1.  A heap is an id -> value dict with the next id, copied on write.
+
+
+class _Bottom(Exception):
+    """An iterate at index 0 was applied."""
+
+
+_ARITH = {"+": lambda a, b: a + b, "-": lambda a, b: max(a - b, 0),
+          "div": lambda a, b: a // b if b else 0,
+          "mod": lambda a, b: a % b if b else 0}
+_LOGIC = {"<": lambda a, b: a < b, "and": lambda a, b: a and b,
+          "or": lambda a, b: a or b}
+
+
+def ref_pure(p: PExpr, env: dict, program: Program) -> Value:
+    """The value of a pure expression in env."""
+    if isinstance(p, PVar):
+        return env[p.name]
+    if isinstance(p, (PNat, PBool, PUnit, PNil, PNone, PRefLit)):
+        return {PNat: lambda: VNat(p.value), PBool: lambda: VBool(p.value),
+                PUnit: VUnit, PNil: lambda: VList(()), PNone: VNone,
+                PRefLit: lambda: VRef(p.rid)}[type(p)]()
+    if isinstance(p, PCons):
+        tail = ref_pure(p.tail, env, program)
+        return VList((ref_pure(p.head, env, program),) + tail.items)
+    if isinstance(p, PSome):
+        return VSome(ref_pure(p.arg, env, program))
+    if isinstance(p, PNot):
+        return VBool(not ref_pure(p.arg, env, program).value)
+    args = [ref_pure(a, env, program) for a in _pexpr_args(p)]
+    if isinstance(p, PCtor):
+        return VCtor(p.name, tuple(args))
+    if isinstance(p, PCall):
+        d = program.pure_def(p.name)
+        return ref_pure(d.body, dict(zip((n for n, _ in d.params), args)),
+                        program)
+    a, b = args
+    if p.op == "=":
+        return VBool(a == b)
+    if p.op == "≠":
+        return VBool(a != b)
+    if p.op in _ARITH:
+        return VNat(_ARITH[p.op](a.value, b.value))
+    return VBool(_LOGIC[p.op](a.value, b.value))
+
+
+def _pexpr_args(p: PExpr) -> tuple:
+    return (p.lhs, p.rhs) if isinstance(p, PBin) else p.args
+
+
+def _ref_comp(e: Expr, env: dict, heap: tuple, program: Program, name: str,
+              index: int) -> tuple:
+    """(value, heap) of e in the body of name run at the given index."""
+    cells, nxt = heap
+    if isinstance(e, Return):
+        return ref_pure(e.value, env, program), heap
+    if isinstance(e, Bind):
+        v, heap = _ref_comp(e.head, env, heap, program, name, index)
+        return _ref_comp(e.body, {**env, e.var: v}, heap, program, name, index)
+    if isinstance(e, If):
+        branch = e.then if ref_pure(e.cond, env, program).value else e.els
+        return _ref_comp(branch, env, heap, program, name, index)
+    if isinstance(e, Case):
+        v = ref_pure(e.scrutinee, env, program)
+        for pat, body in e.branches:
+            if pat.ctor == "None" and isinstance(v, VNone):
+                fields = ()
+            elif pat.ctor == "Some" and isinstance(v, VSome):
+                fields = (v.value,)
+            elif isinstance(v, VCtor) and v.name == pat.ctor:
+                fields = v.args
+            else:
+                continue
+            return _ref_comp(body, {**env, **dict(zip(pat.vars, fields))},
+                             heap, program, name, index)
+        raise AssertionError(f"no branch matched {v}")
+    if isinstance(e, (SelfCall, ExtCall)):
+        args = [ref_pure(a, env, program) for a in e.args]
+        if isinstance(e, SelfCall):
+            return _ref_apply(program, name, args, heap, index - 1)
+        return _ref_apply(program, e.name, args, heap, index)
+    if isinstance(e, RefNew):
+        v = ref_pure(e.value, env, program)
+        return VRef(nxt), ({**cells, nxt: v}, nxt + 1)
+    rid = ref_pure(e.ref, env, program).rid
+    if rid not in cells:
+        raise DanglingRef(f"ref{rid} is not allocated")
+    if isinstance(e, RefGet):
+        return cells[rid], heap
+    return VUnit(), ({**cells, rid: ref_pure(e.value, env, program)}, nxt)
+
+
+def _ref_apply(program: Program, name: str, args, heap: tuple,
+               index: int) -> tuple:
+    if index <= 0:
+        raise _Bottom
+    d = program.fun_def(name)
+    env = dict(zip((n for n, _ in d.params), args))
+    return _ref_comp(d.body, env, heap, program, name, index)
+
+
+def ref_run(program: Program, name: str, args, h: Heap, index: int):
+    """The iterate of name at index on (args, h): Ok(value, heap) for a
+    heap function, OkPure(value) for an option function, or None for
+    bottom.  An unallocated reference raises DanglingRef."""
+    try:
+        v, (cells, nxt) = _ref_apply(program, name, tuple(args),
+                                     (h.as_dict(), h.next_id), index)
+    except _Bottom:
+        return None
+    if program.fun_def(name).monad == "option":
+        return OkPure(v)
+    return Ok(v, Heap(tuple(sorted(cells.items())), nxt))

@@ -260,6 +260,45 @@ class TestExitCodes:
         assert done.returncode == 0
         assert done.stdout == "f: continuous (2 rule applications)\n"
 
+    @pytest.mark.parametrize("text", [
+        "[" + ", ".join(str(i % 10) for i in range(10_000)) + "]",
+        " # ".join([str(i % 10) for i in range(10_000)] + ["[]"]),
+    ], ids=["brackets", "cons-chain"])
+    def test_long_list_literal_in_program_evaluates(self, tmp_path, text):
+        # In a fresh interpreter, with Python's default recursion limit: the
+        # code generator emits a list spine by a loop, one line per cell.
+        src = tmp_path / "lit.mfx"
+        src.write_text(f"option fun f(n : nat) : list nat = return {text}\n",
+                       encoding="utf-8")
+        environ = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "mfx.cli", "eval", str(src), "--args", "0"],
+            env=environ, capture_output=True, text=True, timeout=120)
+        items = ", ".join(str(i % 10) for i in range(10_000))
+        assert done.returncode == 0 and done.stdout == f"OkPure([{items}])\n"
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "{bad}"],
+        ["eval", corpus("trace.mfx"), "--args", "²"],
+    ], ids=["program", "args"])
+    def test_superscript_digit_is_1(self, capsys, tmp_path, argv):
+        # '²' is a digit to str.isdigit but not a decimal digit, so it is
+        # no natural literal.
+        bad = tmp_path / "bad.mfx"
+        bad.write_text("option fun f(x : nat) : nat = return x + ²",
+                       encoding="utf-8")
+        code, out, err = run(capsys, *(a.format(bad=bad) for a in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unexpected character '²'" in err
+
+    def test_superscript_in_identifier(self, capsys, tmp_path):
+        src = tmp_path / "sq.mfx"
+        src.write_text("option fun f(x² : nat) : nat = return x² + 1",
+                       encoding="utf-8")
+        assert run(capsys, "eval", str(src), "--args", "2") == (0, "OkPure(3)\n", "")
+
     def test_heap_audit_rejected(self, capsys):
         code, _, err = run(capsys, "audit", corpus("occurs.mfx"),
                            "--fun", "occurs", "--q",
@@ -279,6 +318,19 @@ class TestFlags:
         code, out, _ = run(capsys, "eval", corpus("trace.mfx"),
                            "--fun", "trace", "--args", "6", "--fuel", "10")
         assert code == 0 and out == "OkPure([6])\n"
+
+    def test_consecutive_calls_share_no_state(self, capsys, monkeypatch):
+        # main builds its argument parser once per process; a flag given in
+        # one call does not leak into the next.
+        argv = ["eval", corpus("trace.mfx"), "--fun", "trace", "--args", "6"]
+        monkeypatch.delenv("MFX_FUEL", raising=False)
+        assert run(capsys, *argv, "--fuel", "5") == (0, "OkPure([6])\n", "")
+        assert run(capsys, *argv, "--fuel", "2") == (2, "Diverged(2)\n", "")
+        assert run(capsys, *argv) == (0, "OkPure([6])\n", "")
+        monkeypatch.setenv("MFX_FUEL", "3")
+        assert run(capsys, *argv) == (2, "Diverged(3)\n", "")
+        assert run(capsys, "eval", corpus("trace.mfx"), "--args", "6") \
+            == (2, "Diverged(3)\n", "")
 
     def test_fun_defaults_when_unique(self, capsys):
         code, out, _ = run(capsys, "eval", corpus("traverse.mfx"),

@@ -2,6 +2,7 @@
 fixed-point equation at desk scale, divergence, and the monad laws."""
 
 import gc
+import itertools
 import random
 import subprocess
 import sys
@@ -15,13 +16,14 @@ from mfx.domain import (BOTTOM, EMPTY_HEAP, UNIT_V, Heap, Ok, OkPure, VBool,
                         VCtor, VList, VNat, VRef, parse_heap, value_to_pexpr)
 from mfx.errors import ChainViolation, DanglingRef, DslTypeError
 from mfx.evaluator import (Approximant, Diverged, approx_chain, eval_approx,
-                           in_semantics, run_lfp, unfold_once)
-from mfx.syntax import (Bind, FunDef, If, NAT, PBin, PNat, PVar, RefGet,
-                        Return, TRef, parse_program)
+                           eval_pure, in_semantics, run_lfp, unfold_once)
+from mfx.induction import DomainSpec, enum_values
+from mfx.syntax import (Bind, FunDef, HEAP, If, NAT, PBin, PBool, PCall, PNat,
+                        PVar, RefGet, Return, TRef, parse_program)
 
-from oracles import (acyclic_list_heap, occurs_in, random_node_arg,
-                     random_node_heap, random_rtrm_heap, trace_ref, trace_value,
-                     walk_list)
+from oracles import (acyclic_list_heap, bench_gen, occurs_in, random_node_arg,
+                     random_node_heap, random_rtrm_heap, ref_pure, ref_run,
+                     trace_ref, trace_value, walk_list)
 
 
 def node(x, rid):
@@ -468,3 +470,133 @@ class TestMonadLaws:
         rhs = Bind("w", RefGet(PVar("r")),
                    Return(PBin("+", value_to_pexpr(v), PVar("w"))))
         assert self._eval(lhs, h) == self._eval(rhs, h)
+
+
+class TestGeneratedCode:
+    """Definitions compile to generated Python source.  DSL names reach it
+    only as string keys, and long or deeply nested programs stay within
+    Python's limits on nesting."""
+
+    NAMES_SRC = """
+datatype box = VNat nat | VCtor nat nat | TRUE
+
+option fun peek(env : nat, fuel : box) : nat =
+  case fuel of
+    VNat(fn) => return env + fn
+  | VCtor(push, store) =>
+      do t1 <- return push; k0 <- return store; return t1 + k0 done
+  | TRUE => return env
+
+option fun sum(x' : nat, x'' : nat) : nat =
+  if x' = 0 then return x''
+  else do fn <- sum(x' - 1, x'' + 1); push <- peek(fn, VCtor(x', 1));
+          return push + fn done
+
+heap fun bump(env : ref nat, fuel : nat) : nat =
+  if fuel = 0 then !env
+  else do store <- !env; env := store + 1; t1 <- bump(env, fuel - 1);
+          k0 <- ref t1; x' <- !k0; return x' + fuel done
+"""
+
+    def test_names_that_generated_code_uses(self):
+        prog = parse_program(self.NAMES_SRC)
+        for box, want in ((VCtor("VNat", (VNat(4),)), 7),
+                          (VCtor("VCtor", (VNat(2), VNat(5))), 7),
+                          (VCtor("TRUE", ()), 3)):
+            assert run_lfp(prog, "peek", (VNat(3), box), EMPTY_HEAP) \
+                == OkPure(VNat(want))
+
+        def sum_(x, y):
+            return y if x == 0 else x + 1 + sum_(x - 1, y + 1)
+        for x in range(5):
+            assert run_lfp(prog, "sum", (VNat(x), VNat(10)), EMPTY_HEAP) \
+                == OkPure(VNat(sum_(x, 10)))
+        # bump(c, k) = c + k + k(k+1)/2; each level allocates its result.
+        out = run_lfp(prog, "bump", (VRef(0), VNat(3)), Heap(((0, VNat(2)),), 1))
+        assert out == Ok(VNat(11), Heap(((0, VNat(5)), (1, VNat(5)),
+                                         (2, VNat(6)), (3, VNat(8))), 4))
+
+    def test_operators_against_reference(self):
+        prog = parse_program("pure fun id(n : nat) : nat = n")
+        for op in ("=", "≠", "<", "and", "or", "+", "-", "div", "mod"):
+            vals = [VBool(False), VBool(True)] if op in ("and", "or") \
+                else [VNat(i) for i in range(4)]
+            e = PBin(op, PVar("a"), PVar("b"))
+            for a, b in itertools.product(vals, repeat=2):
+                env = {"a": a, "b": b}
+                assert eval_pure(e, env, prog) == ref_pure(e, env, prog), (op, a, b)
+        # Both operands of ``and`` and ``or`` are evaluated, left to right.
+        read = PCall("get_ref", (PVar("r"), PVar("h")))
+        env = {"r": VRef(0), "s": VRef(1), "h": Heap(((1, VBool(True)),), 2)}
+        for op, lhs in (("and", PBool(False)), ("or", PBool(True))):
+            with pytest.raises(DanglingRef, match="ref0"):
+                eval_pure(PBin(op, lhs, read), env, prog)
+            with pytest.raises(DanglingRef, match="ref0"):
+                eval_pure(PBin(op, read, PCall("get_ref", (PVar("s"), PVar("h")))),
+                          env, prog)
+
+    @staticmethod
+    def _nested_ifs(n, parens, position):
+        body = f"return {n}"
+        for k in reversed(range(n)):
+            inner = f"({body})" if parens else body
+            body = f"if x = {k} then return {k} else {inner}"
+        if position == "head":
+            body = f"do y <- ({body}); return y + 1 done"
+        return f"option fun f(x : nat) : nat = {body}\n"
+
+    @pytest.mark.parametrize("position", ["tail", "head"])
+    @pytest.mark.parametrize("parens", [True, False], ids=["parens", "bare"])
+    def test_300_nested_ifs(self, parens, position):
+        prog = parse_program(self._nested_ifs(300, parens, position))
+        extra = 1 if position == "head" else 0
+        for x in (0, 1, 16, 17, 150, 299, 300, 301):
+            assert run_lfp(prog, "f", (VNat(x),), EMPTY_HEAP) \
+                == OkPure(VNat(min(x, 300) + extra))
+
+    def test_300_bind_do_block(self):
+        # Every other head calls an earlier function, so the body has 150
+        # segments; the others run in place.
+        binds = "; ".join(f"x{i + 1} <- " + (f"inc(x{i})" if i % 2 else f"return x{i} + 1")
+                          for i in range(300))
+        prog = parse_program(
+            "option fun inc(n : nat) : nat = return n + 1\n"
+            f"option fun f(x0 : nat) : nat = do {binds}; return x300 done\n")
+        assert run_lfp(prog, "f", (VNat(7),), EMPTY_HEAP) == OkPure(VNat(307))
+
+    def test_200_read_write_pairs(self):
+        pairs = "; ".join(["y <- !r; r := y + 1"] * 200)
+        prog = parse_program(
+            f"heap fun f(r : ref nat) : nat = do {pairs}; !r done\n")
+        out = run_lfp(prog, "f", (VRef(0),), Heap(((0, VNat(5)),), 1))
+        assert out == Ok(VNat(205), Heap(((0, VNat(205)),), 1))
+
+
+def test_run_lfp_against_definitional_interpreter():
+    # Every function of bench/gen.py seeds 0-9, both monads, on every input
+    # of a small domain: run_lfp at cap 8 has the outcome and the heap of a
+    # direct-style, fuel-indexed interpreter written from the semantics.
+    gen = bench_gen()
+    dom = DomainSpec(nat_max=2, heap_max_cells=1, cell_type=NAT)
+    runs = 0
+    for seed in range(10):
+        prog = parse_program(gen.gen_program(random.Random(seed), 4).text)
+        for f in prog.fun_defs:
+            domains = [enum_values(t, dom, prog) for _, t in f.params]
+            heaps = enum_values(HEAP, dom, prog) if f.monad == "heap" \
+                else [EMPTY_HEAP]
+            for h in heaps:
+                for args in itertools.product(*domains):
+                    want = _outcome(ref_run, prog, f.name, args, h, 8)
+                    got = _outcome(run_lfp, prog, f.name, args, h, 8)
+                    assert got == (Diverged(8) if want is None else want), \
+                        (seed, f.name, args, h)
+                    runs += 1
+    assert runs == 480
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except DanglingRef as e:
+        return str(e)

@@ -2,10 +2,8 @@
 reference rules, rendering, JSON round-trips, and the sampled soundness
 audit."""
 
-import importlib.util
 import json
 import random
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +23,7 @@ from mfx.syntax import (BOOL, HEAP, NAT, UNIT, PBin, PBool, PCall, PCons,
                         PCtor, PNat, PNil, PNone, PRefLit, PSome, PUnit, PVar,
                         TData, TList, TOption, TRef, TVar, parse_program)
 
-from oracles import occurs_in, trace_value, walk_list
+from oracles import bench_gen, occurs_in, trace_value, walk_list
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -587,15 +585,6 @@ class TestSampledCheck:
         assert w["x0"] == VNat(0) and w["x1000"] == VNat(1000)
 
 
-def _bench_gen():
-    """bench/gen.py, the seeded program generator (it imports no mfx)."""
-    path = Path(__file__).parent.parent / "bench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("mfx_bench_gen", path)
-    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
-
-
 def graph_oracle(prog, f, cap):
     """Q ≝ the graph of f at the cap: f(x) = y, and for a heap function
     f(x) run on h gives Ok(y, h').  Runs are cached by arguments and heap."""
@@ -620,7 +609,7 @@ class TestGeneratedPrograms:
         # calls of earlier functions and allocation, so their rules carry
         # OptEq, SemTriple and HeapNew premises.  The graph of the least
         # fixed point satisfies every obligation of a sound refined rule.
-        gen = _bench_gen()
+        gen = bench_gen()
         dom = DomainSpec(nat_max=3, heap_max_cells=1, cell_type=NAT,
                          fuel_cap=8)
         total = 0
