@@ -29,17 +29,17 @@ import json
 import os
 import sys
 from functools import lru_cache
-from pathlib import Path
 
 from .continuity import ContinuityFailure, check_continuous, explain
 from .domain import (EMPTY_HEAP, VBool, VCtor, VList, VRef, VSome,
-                     heap_closed, parse_heap, pexpr_to_value, render_outcome,
-                     value_to_pexpr)
+                     heap_closed, heap_of_cells, pexpr_to_value,
+                     render_outcome)
 from .errors import DslTypeError, MfxError, StaticError
 from .evaluator import (DEFAULT_FUEL_CAP, Diverged, approx_chain, run_lfp)
 from .induction import (DomainSpec, check_rule_sampled, raw_rule, refine,
                         refined_rule, render_rule, rule_to_json)
-from .syntax import BOOL, infer_type, instantiate, parse_program, parse_values
+from .syntax import (BOOL, infer_type, instantiate, parse_heap_cells,
+                     parse_program, parse_values)
 
 
 def _fuel_cap(args) -> int:
@@ -58,12 +58,16 @@ def _fuel_cap(args) -> int:
     return cap
 
 
-def _load_program(path: str):
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as e:
         raise StaticError(f"cannot read {path}: {e.strerror}")
-    return parse_program(text)
+
+
+def _load_program(path: str):
+    return parse_program(_read(path))
 
 
 def _pick_fun(program, name, path):
@@ -93,23 +97,22 @@ def _parse_args_values(program, fundef, text):
 
 
 def _load_heap_arg(args, program):
+    """The heap of --heap, and the parsed value of each of its cells."""
     if getattr(args, "heap", None):
+        text = _read(args.heap)
         try:
-            text = Path(args.heap).read_text(encoding="utf-8")
-        except OSError as e:
-            raise StaticError(f"cannot read {args.heap}: {e.strerror}")
-        try:
-            return parse_heap(text, program)
+            cells, next_id = parse_heap_cells(text, program)
+            return heap_of_cells(cells, next_id), dict(cells)
         except ValueError as e:
             raise StaticError(f"{args.heap}: {e}")
-    return EMPTY_HEAP
+    return EMPTY_HEAP, {}
 
 
-def _check_cells(program, fundef, values, heap):
-    """Check each heap cell that the arguments reach against the ``τ`` of the
-    ``ref τ`` that reaches it.  References are followed through lists,
-    options, constructor arguments and cells; each cell is checked once, so
-    a cyclic heap ends the walk."""
+def _check_cells(program, fundef, values, heap, cell_exprs):
+    """Check the parsed value of each heap cell that the arguments reach
+    against the ``τ`` of the ``ref τ`` that reaches it.  References are
+    followed through lists, options, constructor arguments and cells; each
+    cell is checked once, so a cyclic heap ends the walk."""
     todo = [(v, ty) for v, (_, ty) in zip(values, fundef.params)]
     seen = set()
     while todo:
@@ -124,23 +127,22 @@ def _check_cells(program, fundef, values, heap):
             todo += [(a, instantiate(t, subst)) for a, t in zip(v.args, c.arg_types)]
         elif isinstance(v, VRef) and v.rid not in seen and heap.contains(v.rid):
             seen.add(v.rid)
-            cell = heap.lookup(v.rid)
             try:
-                got = infer_type(value_to_pexpr(cell), program.names, ty.elem)
+                got = infer_type(cell_exprs[v.rid], program.names, ty.elem)
             except DslTypeError as e:
                 raise StaticError(f"heap cell {v.rid} does not hold a value of "
                                   f"type {ty.elem}: {e.msg}")
             if got != ty.elem:
                 raise StaticError(f"heap cell {v.rid} holds a value of type "
                                   f"{got}, expected {ty.elem}")
-            todo.append((cell, ty.elem))
+            todo.append((heap.lookup(v.rid), ty.elem))
 
 
 def _load_inputs(args, program, fundef):
     """The argument values and the heap of eval and approx, checked."""
     values = _parse_args_values(program, fundef, args.args)
-    heap = _load_heap_arg(args, program)
-    _check_cells(program, fundef, values, heap)
+    heap, cell_exprs = _load_heap_arg(args, program)
+    _check_cells(program, fundef, values, heap, cell_exprs)
     return values, heap
 
 

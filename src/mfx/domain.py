@@ -16,12 +16,12 @@ whole run (see the evaluator).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import DanglingRef, NotStabilized, StaticError
 from . import syntax
 from .syntax import (PBool, PCons, PCtor, PExpr, PNat, PNil, PNone, PRefLit,
-                     PSome, PUnit, parse_values)
+                     PSome, PUnit, parse_heap_cells)
 
 # ---------------------------------------------------------------------------
 # Values
@@ -374,34 +374,15 @@ def render_heap(h: Heap) -> str:
 
 
 def parse_heap(text: str, program=None) -> Heap:
-    """Parse the heap literal file format: one ``id ↦ value`` per line plus
-    ``next=n``.  Blank lines and ``--`` comments are allowed.  Pass the
-    program whose datatypes the stored values use."""
-    cells: list[tuple[int, Value]] = []
-    next_id = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("--")[0].strip()
-        if not line:
-            continue
-        compact = line.replace(" ", "")
-        if compact.startswith("next="):
-            if next_id is not None:
-                raise ValueError(f"line {lineno}: duplicate next=")
-            next_id = int(compact[5:])
-            continue
-        sep = "↦" if "↦" in line else "|->"
-        if sep not in line:
-            raise ValueError(f"line {lineno}: expected 'id ↦ value' or 'next=n'")
-        lhs, rhs = line.split(sep, 1)
-        rid = int(lhs.strip())
-        vals = parse_values(rhs, program)
-        if len(vals) != 1:
-            raise ValueError(f"line {lineno}: expected exactly one value")
-        cells.append((rid, pexpr_to_value(vals[0])))
-    if next_id is None:
-        raise ValueError("heap file must end with next=n")
-    cells.sort(key=lambda c: c[0])
-    h = Heap(tuple(cells), next_id)
+    """Parse the heap literal file format (see syntax.parse_heap_cells).
+    Pass the program whose datatypes the stored values use."""
+    return heap_of_cells(*parse_heap_cells(text, program))
+
+
+def heap_of_cells(cells: list[tuple[int, PExpr]], next_id: int) -> Heap:
+    """The heap of a heap file's parsed cells and next id."""
+    h = Heap(tuple(sorted(((rid, pexpr_to_value(p)) for rid, p in cells),
+                          key=itemgetter(0))), next_id)
     if not heap_closed(h):
         raise ValueError("heap file contains a dangling reference")
     return h

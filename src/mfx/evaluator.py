@@ -43,8 +43,9 @@ Pure code and rule terms are emitted in three-address form, one line per
 node, and list spines by a loop.  An ``if`` or ``case`` nested deeper than a
 fixed depth becomes a function of its own, within Python's nesting limits.
 Code is cached by its source text in one bounded cache, as the CLI parses
-its file on every call and audits compile the same rule terms every time;
-a rule term that is a variable or a literal needs no source.
+its file on every call.  A rule term's code is also kept in
+``Program.compiled`` under the term, as audits compile the same rule terms
+every time; a rule term that is a variable or a literal needs no source.
 """
 
 from __future__ import annotations
@@ -379,13 +380,19 @@ def compile_pure(p: PExpr, program: Program) -> PureCode:
     heap_get and heap_set and raise DanglingRef on an unallocated id; every
     other expression is total on well-typed inputs.  A call of a pure
     definition calls that definition's code, compiled once per program.
+    The code of a term is kept in ``program.compiled`` under the term, which
+    compares and hashes without positions, so an equal term is emitted once.
     """
     if isinstance(p, PVar):
         return itemgetter(p.name)
     if isinstance(p, _LITERALS) or isinstance(p, PCtor) and not p.args:
         v = pexpr_to_value(p)
         return lambda env: v
-    return _Emitter(program).load("term", p)
+    key = ("term", p)
+    code = program.compiled.get(key)
+    if code is None:
+        code = program.compiled[key] = _Emitter(program).load("term", p)
+    return code
 
 
 def _pure_def(program: Program, name: str) -> Callable[..., Value]:

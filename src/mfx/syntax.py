@@ -24,12 +24,19 @@ block comments, ASCII aliases ``<-`` ``=>`` ``|->`` ``!=`` for ← ⇒ ↦ ≠):
     pattern  := ident | ident "(" ident, ... ")" | "None" | "Some" "(" ident ")"
     type     := ("list" | "option" | "ref") atype | ident atype* | atype
     atype    := "nat" | "bool" | "unit" | ident | "(" type ")"
+    pexpr    := patom | "not" pexpr | pexpr binop pexpr
 
 Pure expressions comprise variables, literals (naturals, booleans, unit,
 lists, options, constructor applications), calls of previously defined pure
 functions, arithmetic (+, -, div, mod; natural subtraction truncates at zero,
 div/mod by zero yield 0), comparisons (=, ≠, <), and boolean connectives
-(and, or, not).
+(and, or, not).  From loosest to tightest: or, and, not, the comparisons
+(which do not associate), # (right-associative), + and -, div and mod.
+
+The scanner is one compiled regular expression with a named group per token
+class; only nested block comments take a loop of their own.  Binary
+operators are parsed by precedence climbing over ``_PREC``, the table the
+printer brackets by, so parser and printer agree by construction.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import DslTypeError, MonadError, ParseError, ScopeError
 
@@ -407,7 +414,7 @@ KEYWORDS = {
     "not", "true", "false", "None", "Some", "nat", "bool", "unit", "list",
 }
 
-# Multi-char symbols first so max-munch wins.
+# Multi-char symbols first so max-munch wins; raw spelling, canonical text.
 SYMBOLS = [
     ("<-", "←"), ("=>", "⇒"), ("|->", "↦"), ("!=", "≠"), (":=", ":="),
     ("←", "←"), ("⇒", "⇒"), ("↦", "↦"), ("≠", "≠"),
@@ -423,80 +430,64 @@ _REF_LIT = re.compile(r"ref(\d+)$")
 HEAP_FUNS = ("get_ref", "set_ref", "new_ref_with")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "nat" | "kw" | "sym" | "eof"
     text: str
     line: int
     col: int
 
 
+# One alternative per token class, tried in order, each also taking the
+# spaces after it.  Only "\n" starts a new line.  A word starts with a letter
+# or "_": "\w" also admits digits such as "²", so a word that starts outside
+# ASCII has its first character checked.
+_TOKEN = re.compile("(?:" + "|".join([
+    r"(?P<word>[A-Za-z_][\w']*)", r"(?P<newline>\n)", r"(?P<comment>--[^\n]*)",
+    r"(?P<block>\(\*)",
+    "(?P<sym>" + "|".join(re.escape(raw) for raw, _ in SYMBOLS) + ")",
+    r"(?P<nat>\d+)", r"(?P<uword>\w[\w']*)", r"(?P<space>(?=[^\S\n]))",
+]) + r")[^\S\n]*")
+_BLOCK_STEP = re.compile(r"\(\*|\*\)|\n")
+_CANON = dict(SYMBOLS)
+
+
 def tokenize(source: str) -> list[Token]:
     toks: list[Token] = []
-    line, col, i, n = 1, 1, 0, len(source)
-
-    def advance(k: int):
-        nonlocal line, col, i
-        for _ in range(k):
-            if source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
+    append, match = toks.append, _TOKEN.match
+    new = tuple.__new__  # Token(...) without the Python-level __new__
+    line, line_start, i, n = 1, 0, 0, len(source)
     while i < n:
-        c = source[i]
-        if c.isspace():
-            advance(1)
-            continue
-        if source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        if source.startswith("(*", i):
-            l0, c0 = line, col
-            advance(2)
-            depth = 1
-            while i < n and depth:
-                if source.startswith("(*", i):
-                    depth += 1
-                    advance(2)
-                elif source.startswith("*)", i):
-                    depth -= 1
-                    advance(2)
+        m = match(source, i)
+        kind = m and m.lastgroup
+        if kind == "word" or kind == "uword" and source[i].isalpha():
+            word = m.group(kind)
+            append(new(Token, ("kw" if word in KEYWORDS else "ident", word,
+                               line, i - line_start + 1)))
+        elif kind == "sym":
+            append(new(Token, ("sym", _CANON[m.group("sym")], line,
+                               i - line_start + 1)))
+        elif kind == "newline":
+            line, line_start = line + 1, i + 1
+        elif kind == "nat":
+            append(new(Token, ("nat", m.group("nat"), line, i - line_start + 1)))
+        elif kind == "block":  # nested comments: a depth count
+            l0, c0, depth, j = line, i - line_start + 1, 1, i + 2
+            while depth:
+                step = _BLOCK_STEP.search(source, j)
+                if step is None:
+                    raise ParseError("unterminated block comment", l0, c0)
+                j = step.end()
+                if step.group() == "\n":
+                    line, line_start = line + 1, j
                 else:
-                    advance(1)
-            if depth:
-                raise ParseError("unterminated block comment", l0, c0)
+                    depth += 1 if step.group() == "(*" else -1
+            i = j
             continue
-        if c.isdecimal():
-            l0, c0 = line, col
-            j = i
-            while j < n and source[j].isdecimal():
-                j += 1
-            toks.append(Token("nat", source[i:j], l0, c0))
-            advance(j - i)
-            continue
-        if c.isalpha() or c == "_":
-            l0, c0 = line, col
-            j = i
-            while j < n and (source[j].isalnum() or source[j] in "_'"):
-                j += 1
-            word = source[i:j]
-            kind = "kw" if word in KEYWORDS else "ident"
-            # "-- " comment handled above; "done" etc. caught as keywords
-            toks.append(Token(kind, word, l0, c0))
-            advance(j - i)
-            continue
-        for raw, canon in SYMBOLS:
-            if source.startswith(raw, i):
-                toks.append(Token("sym", canon, line, col))
-                advance(len(raw))
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+        elif kind != "comment" and kind != "space":
+            raise ParseError(f"unexpected character {source[i]!r}",
+                             line, i - line_start + 1)
+        i = m.end()
+    append(Token("eof", "", line, i - line_start + 1))
     return toks
 
 
@@ -504,21 +495,37 @@ def tokenize(source: str) -> list[Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
+# Binding strength of the binary operators, shared by the parser and the
+# printer; higher binds tighter.  "#" is right-associative and the
+# comparisons do not associate; the others associate to the left.  The
+# prefix "not" sits between "and" and the comparisons.
+_PREC = {"or": 1, "and": 2, "=": 4, "≠": 4, "<": 4, "#": 5, "+": 6, "-": 6,
+         "div": 7, "mod": 7}
+_NON_LEFT_ASSOC = frozenset({"=", "≠", "<", "#"})
+_NOT_PREC, _ATOM_PREC = 3, 99
+
+# Keywords are never identifiers, so a token's text alone can tell them.
+_BASE_TYPES = {"nat": NAT, "bool": BOOL, "unit": UNIT}
+_EXPR_KEYWORDS = ("return", "do", "if", "case", "ref")
+
 
 class _Parser:
-    def __init__(self, toks: list[Token], names: Names):
-        self.toks = toks
+    def __init__(self, toks: list[Token], names: Names, ref_lits: bool = False):
+        # A second eof, so that a lookahead of 2 needs no bounds check.
+        self.toks = toks + toks[-1:]
         self.i = 0
         # Filled in declaration order; later definitions may only refer to
         # earlier ones, which rules out mutual recursion.
         self.names = names
+        # Whether an identifier refN is a reference literal (values only).
+        self.ref_lits = ref_lits
         self.current_fun: Optional[str] = None
         self.current_monad: Optional[str] = None
 
     # -- token helpers
 
     def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.i + k, len(self.toks) - 1)]
+        return self.toks[self.i + k]
 
     def next(self) -> Token:
         t = self.toks[self.i]
@@ -527,12 +534,12 @@ class _Parser:
         return t
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.peek()
+        t = self.toks[self.i]
         return t.kind == kind and (text is None or t.text == text)
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        t = self.peek()
-        if not self.at(kind, text):
+        t = self.toks[self.i]
+        if t.kind != kind or text is not None and t.text != text:
             want = text if text is not None else kind
             raise ParseError(f"expected {want!r}, found {t.text!r}", t.line, t.col)
         return self.next()
@@ -602,20 +609,13 @@ class _Parser:
 
     def _at_atype(self) -> bool:
         t = self.peek()
-        return (t.kind == "kw" and t.text in ("nat", "bool", "unit")) \
-            or t.kind == "ident" or (t.kind == "sym" and t.text == "(")
+        return t.text in _BASE_TYPES or t.kind == "ident" or t.text == "("
 
     def atype(self, ty_params: list[str]) -> Type:
         t = self.peek()
-        if self.at("kw", "nat"):
-            self.next()
-            return NAT
-        if self.at("kw", "bool"):
-            self.next()
-            return BOOL
-        if self.at("kw", "unit"):
-            self.next()
-            return UNIT
+        if t.text in _BASE_TYPES:
+            self.i += 1
+            return _BASE_TYPES[t.text]
         if self.at("sym", "("):
             self.next()
             ty = self.type_(ty_params)
@@ -717,37 +717,33 @@ class _Parser:
     # -- computation expressions
 
     def expr(self, scope: set[str]) -> Expr:
-        t = self.peek()
-        if self.at("kw", "return"):
-            self.next()
-            return Return(self.pexpr(scope), pos=(t.line, t.col))
-        if self.at("kw", "do"):
+        t = self.toks[self.i]
+        text, pos = t.text, (t.line, t.col)
+        if text == "return":
+            self.i += 1
+            return Return(self.pexpr(scope), pos=pos)
+        if text == "do":
             return self.doblock(scope)
-        if self.at("kw", "if"):
-            self.next()
+        if text == "if":
+            self.i += 1
             cond = self.pexpr(scope)
             self.expect("kw", "then")
             then = self.expr(scope)
             self.expect("kw", "else")
-            els = self.expr(scope)
-            return If(cond, then, els, pos=(t.line, t.col))
-        if self.at("kw", "case"):
+            return If(cond, then, self.expr(scope), pos=pos)
+        if text == "case":
             return self.caseblock(scope)
-        if self.at("kw", "ref"):
-            self.next()
+        if text == "ref" or text == "!":
+            self.i += 1
             self._require_heap(t)
-            return RefNew(self.patom(scope), pos=(t.line, t.col))
-        if self.at("sym", "!"):
-            self.next()
-            self._require_heap(t)
-            return RefGet(self.patom(scope), pos=(t.line, t.col))
-        if self.at("sym", "(") and self._paren_is_expr():
-            self.next()
+            return (RefNew if text == "ref" else RefGet)(self.patom(scope), pos=pos)
+        if text == "(" and self._paren_is_expr():
+            self.i += 1
             e = self.expr(scope)
             self.expect("sym", ")")
             return e
         # Otherwise: a call of a monadic function, or an assignment.
-        p = self.pexpr(scope, computation_ok=True)
+        p = self.pexpr(scope, comp=True)
         if self.at("sym", ":="):
             self.next()
             self._require_heap(t)
@@ -787,14 +783,9 @@ class _Parser:
 
     def _paren_is_expr(self) -> bool:
         """Disambiguate '(' expr ')' from a parenthesised pure expression."""
-        t = self.peek(1)
-        return t.kind == "kw" and t.text in ("return", "do", "if", "case", "ref") \
-            or (t.kind == "sym" and t.text == "!") \
-            or (t.kind == "sym" and t.text == "(" and self._paren_is_expr_at(2))
-
-    def _paren_is_expr_at(self, k: int) -> bool:
-        t = self.peek(k)
-        return t.kind == "kw" and t.text in ("return", "do", "if", "case", "ref")
+        t, u = self.toks[self.i + 1], self.toks[self.i + 2]
+        return t.text in _EXPR_KEYWORDS or t.text == "!" \
+            or t.text == "(" and u.text in _EXPR_KEYWORDS
 
     def doblock(self, scope: set[str]) -> Expr:
         do_tok = self.expect("kw", "do")
@@ -882,131 +873,106 @@ class _Parser:
         self.expect("sym", "⇒")
         return pat, self.expr(scope | set(pat.vars))
 
-    # -- pure expressions (precedence climbing)
+    # -- pure expressions (precedence climbing over _PREC)
 
-    def pexpr(self, scope: set[str], computation_ok: bool = False) -> PExpr:
-        return self.p_or(scope, computation_ok)
+    def pexpr(self, scope: set[str], comp: bool = False, min_prec: int = 0) -> PExpr:
+        """A pure expression whose operators bind at least as tightly as
+        ``min_prec``; ``comp`` lets its first atom call a monadic function."""
+        toks = self.toks
+        t = toks[self.i]
+        if t.text == "not" and min_prec <= _NOT_PREC:
+            self.i += 1
+            e = PNot(self.pexpr(scope, False, _NOT_PREC), pos=(t.line, t.col))
+            lvl = _NOT_PREC
+        else:
+            e, lvl = self.patom(scope, comp), _ATOM_PREC
+        while True:
+            t = toks[self.i]
+            prec = _PREC.get(t.text)
+            # The left operand e must bind at least as tightly as the
+            # operator, and more tightly unless it associates to the left.
+            if prec is None or prec < min_prec \
+                    or lvl < prec + (t.text in _NON_LEFT_ASSOC):
+                return e
+            self.i += 1
+            if t.text != "#":
+                e = PBin(t.text, e, self.pexpr(scope, False, prec + 1),
+                         pos=(t.line, t.col))
+            else:
+                # A right-associative chain, read by a loop and folded from
+                # the right, so a long one needs no deep recursion.
+                items, ops = [e, self.pexpr(scope, False, prec + 1)], [t]
+                while toks[self.i].text == "#":
+                    ops.append(toks[self.i])
+                    self.i += 1
+                    items.append(self.pexpr(scope, False, prec + 1))
+                e = items.pop()
+                for head, op in zip(reversed(items), reversed(ops)):
+                    e = PCons(head, e, pos=(op.line, op.col))
+            lvl = prec
 
-    def p_or(self, scope, comp=False) -> PExpr:
-        e = self.p_and(scope, comp)
-        while self.at("kw", "or"):
-            t = self.next()
-            e = PBin("or", e, self.p_and(scope), pos=(t.line, t.col))
-        return e
-
-    def p_and(self, scope, comp=False) -> PExpr:
-        e = self.p_not(scope, comp)
-        while self.at("kw", "and"):
-            t = self.next()
-            e = PBin("and", e, self.p_not(scope), pos=(t.line, t.col))
-        return e
-
-    def p_not(self, scope, comp=False) -> PExpr:
-        if self.at("kw", "not"):
-            t = self.next()
-            return PNot(self.p_not(scope), pos=(t.line, t.col))
-        return self.p_cmp(scope, comp)
-
-    def p_cmp(self, scope, comp=False) -> PExpr:
-        e = self.p_cons(scope, comp)
-        t = self.peek()
-        if t.kind == "sym" and t.text in ("=", "≠", "<"):
-            self.next()
-            return PBin(t.text, e, self.p_cons(scope), pos=(t.line, t.col))
-        return e
-
-    def p_cons(self, scope, comp=False) -> PExpr:
-        # A loop, folded from the right, so a long chain needs no deep
-        # recursion.
-        items, toks = [self.p_add(scope, comp)], []
-        while self.at("sym", "#"):
-            toks.append(self.next())
-            items.append(self.p_add(scope))
-        e = items.pop()
-        for head, t in zip(reversed(items), reversed(toks)):
-            e = PCons(head, e, pos=(t.line, t.col))
-        return e
-
-    def p_add(self, scope, comp=False) -> PExpr:
-        e = self.p_mul(scope, comp)
-        while self.peek().kind == "sym" and self.peek().text in ("+", "-"):
-            t = self.next()
-            e = PBin(t.text, e, self.p_mul(scope), pos=(t.line, t.col))
-        return e
-
-    def p_mul(self, scope, comp=False) -> PExpr:
-        e = self.patom(scope, comp)
-        while self.peek().kind == "kw" and self.peek().text in ("div", "mod"):
-            t = self.next()
-            e = PBin(t.text, e, self.patom(scope), pos=(t.line, t.col))
-        return e
+    def _args(self, scope: set[str], close: str) -> list[PExpr]:
+        """Comma-separated pure expressions up to the ``close`` symbol."""
+        out = []
+        if not self.at("sym", close):
+            out.append(self.pexpr(scope))
+            while self.at("sym", ","):
+                self.i += 1
+                out.append(self.pexpr(scope))
+        self.expect("sym", close)
+        return out
 
     def patom(self, scope: set[str], comp: bool = False) -> PExpr:
-        t = self.peek()
-        if t.kind == "reflit":  # made by parse_values only
-            self.next()
-            return PRefLit(int(t.text[3:]), pos=(t.line, t.col))
-        if t.kind == "nat":
-            self.next()
-            return PNat(int(t.text), pos=(t.line, t.col))
-        if self.at("kw", "true") or self.at("kw", "false"):
-            self.next()
-            return PBool(t.text == "true", pos=(t.line, t.col))
-        if self.at("kw", "None"):
-            self.next()
-            return PNone(pos=(t.line, t.col))
-        if self.at("kw", "Some"):
-            self.next()
-            self.expect("sym", "(")
-            arg = self.pexpr(scope)
-            self.expect("sym", ")")
-            return PSome(arg, pos=(t.line, t.col))
-        if self.at("sym", "("):
-            self.next()
-            if self.at("sym", ")"):
-                self.next()
-                return PUnit(pos=(t.line, t.col))
-            e = self.pexpr(scope)
-            self.expect("sym", ")")
-            return e
-        if self.at("sym", "["):
-            self.next()
-            elems = []
-            if not self.at("sym", "]"):
-                while True:
-                    elems.append(self.pexpr(scope))
-                    if not self.at("sym", ","):
-                        break
-                    self.next()
-            self.expect("sym", "]")
-            out: PExpr = PNil(pos=(t.line, t.col))
-            for e in reversed(elems):
-                out = PCons(e, out, pos=(t.line, t.col))
-            return out
-        if t.kind == "ident":
-            self.next()
-            name = t.text
+        kind, text, line, col = t = self.toks[self.i]
+        pos = (line, col)
+        if kind == "ident":
+            self.i += 1
+            if self.ref_lits and _REF_LIT.match(text):
+                return PRefLit(int(text[3:]), pos=pos)
             if self.at("sym", "("):
-                self.next()
-                args = []
-                if not self.at("sym", ")"):
-                    while True:
-                        args.append(self.pexpr(scope))
-                        if not self.at("sym", ","):
-                            break
-                        self.next()
-                self.expect("sym", ")")
-                return self._resolve_app(name, tuple(args), t, comp)
-            if name in self.names.ctors:
-                _, cdecl = self.names.ctors[name]
+                self.i += 1
+                return self._resolve_app(text, tuple(self._args(scope, ")")), t, comp)
+            if text in self.names.ctors:
+                _, cdecl = self.names.ctors[text]
                 if cdecl.arg_types:
                     raise ScopeError(
-                        f"constructor {name!r} expects {len(cdecl.arg_types)} argument(s)",
-                        t.line, t.col)
-                return PCtor(name, (), pos=(t.line, t.col))
-            if name not in scope:
-                raise ScopeError(f"unbound variable {name!r}", t.line, t.col)
-            return PVar(name, pos=(t.line, t.col))
+                        f"constructor {text!r} expects {len(cdecl.arg_types)} argument(s)",
+                        line, col)
+                return PCtor(text, (), pos=pos)
+            if text not in scope:
+                raise ScopeError(f"unbound variable {text!r}", line, col)
+            return PVar(text, pos=pos)
+        if kind == "nat":
+            self.i += 1
+            return PNat(int(text), pos=pos)
+        if kind == "kw":
+            if text == "true" or text == "false":
+                self.i += 1
+                return PBool(text == "true", pos=pos)
+            if text == "None":
+                self.i += 1
+                return PNone(pos=pos)
+            if text == "Some":
+                self.i += 1
+                self.expect("sym", "(")
+                arg = self.pexpr(scope)
+                self.expect("sym", ")")
+                return PSome(arg, pos=pos)
+        elif kind == "sym":
+            if text == "(":
+                self.i += 1
+                if self.at("sym", ")"):
+                    self.i += 1
+                    return PUnit(pos=pos)
+                e = self.pexpr(scope)
+                self.expect("sym", ")")
+                return e
+            if text == "[":
+                self.i += 1
+                out: PExpr = PNil(pos=pos)
+                for e in reversed(self._args(scope, "]")):
+                    out = PCons(e, out, pos=pos)
+                return out
         self.fail("expected a pure expression")
 
     def _resolve_app(self, name: str, args: tuple[PExpr, ...], t: Token,
@@ -1129,7 +1095,8 @@ def _alpha_rename(d: FunDef, taken_globals: set[str]) -> FunDef:
     unambiguous.
     """
     used = set(taken_globals) | {p for p, _ in d.params}
-    return replace(d, body=_rename_e(d.body, {}, used))
+    body = _rename_e(d.body, {}, used)
+    return d if body is d.body else replace(d, body=body)
 
 
 def _fresh(name: str, used: set[str]) -> str:
@@ -1158,15 +1125,19 @@ def _rename_e(e: Expr, env: dict[str, str], used: set[str]) -> Expr:
     """``e`` with each binder given a fresh name and each bound variable
     renamed through ``env``.  Sub-computations are renamed in source order,
     each one's binders just before it.  A binder that keeps its name was
-    unused, so no outer binder maps it, and ``env`` leaves it out."""
+    unused, so no outer binder maps it, and ``env`` leaves it out.  A node
+    in which nothing is renamed is returned as it is."""
     pures, subs = _expr_children(e)
-    renamed = []
+    renamed, same = [], not env
     for names, sub in subs:
         vs = tuple(_fresh(v, used) for v in names)
         inner = env
         if names != vs:
             inner = {**env, **{v: w for v, w in zip(names, vs) if v != w}}
         renamed.append((vs, _rename_e(sub, inner, used)))
+        same = same and inner is env and renamed[-1][1] is sub
+    if same:
+        return e
     return _expr_rebuild(e, tuple(_rename_p(p, env) for p in pures), renamed)
 
 
@@ -1450,14 +1421,48 @@ def parse_values(source: str, program: Program | None = None) -> list[PExpr]:
     ``program``'s names.  Identifiers of the form ``refN`` denote reference
     literals.
     """
-    toks = [Token("reflit", t.text, t.line, t.col)
-            if t.kind == "ident" and _REF_LIT.match(t.text) else t
-            for t in tokenize(source)]
-    p = _Parser(toks, program.names if program else Names())
+    p = _Parser(tokenize(source), program.names if program else Names(),
+                ref_lits=True)
     out = []
     while not p.at("eof"):
         out.append(p.pexpr(set()))
     return out
+
+
+def parse_heap_cells(source: str, program: Program | None = None
+                     ) -> tuple[list[tuple[int, PExpr]], int]:
+    """The cells, in file order, and the next id of a heap file: lines
+    ``id ↦ value`` and one ``next=n``, with blank lines and comments
+    allowed.  Values are read as by parse_values, all from one token
+    stream.  Raises ValueError naming the line of a malformed entry."""
+    p = _Parser(tokenize(source), program.names if program else Names(),
+                ref_lits=True)
+
+    def on_line(line: int) -> bool:
+        t = p.toks[p.i]
+        return t.line == line and t.kind != "eof"
+
+    cells, next_id = [], None
+    while not p.at("eof"):
+        t = p.next()
+        if t.kind == "nat" and p.at("sym", "↦"):
+            p.i += 1
+            value = p.pexpr(set()) if on_line(t.line) else None
+            if value is None or on_line(t.line):
+                raise ValueError(f"line {t.line}: expected exactly one value")
+            cells.append((int(t.text), value))
+            continue
+        if t.text == "next" and p.at("sym", "=") and p.peek(1).kind == "nat":
+            if next_id is not None:
+                raise ValueError(f"line {t.line}: duplicate next=")
+            next_id = int(p.peek(1).text)
+            p.i += 2
+            if not on_line(t.line):
+                continue
+        raise ValueError(f"line {t.line}: expected 'id ↦ value' or 'next=n'")
+    if next_id is None:
+        raise ValueError("heap file must end with next=n")
+    return cells, next_id
 
 
 # ---------------------------------------------------------------------------
@@ -1491,11 +1496,6 @@ def bound_names(e: Expr) -> set[str]:
 # ---------------------------------------------------------------------------
 # Pretty-printing
 # ---------------------------------------------------------------------------
-
-# Precedence levels for pure expressions, matching the parser.
-_PREC = {"or": 1, "and": 2, "=": 4, "≠": 4, "<": 4, "#": 5, "+": 6, "-": 6,
-         "div": 7, "mod": 7}
-
 
 def pretty_pexpr(p: PExpr, prec: int = 0) -> str:
     if isinstance(p, PVar):
@@ -1533,17 +1533,12 @@ def pretty_pexpr(p: PExpr, prec: int = 0) -> str:
         return p.name + "(" + ", ".join(pretty_pexpr(a) for a in p.args) + ")"
     if isinstance(p, PBin):
         lvl = _PREC[p.op]
-        if p.op == "#":  # right-assoc, handled by PCons
-            pass
-        left = pretty_pexpr(p.lhs, lvl)
-        right = pretty_pexpr(p.rhs, lvl + 1)
-        if p.op in ("=", "≠", "<"):  # non-assoc
-            left = pretty_pexpr(p.lhs, lvl + 1)
-        s = f"{left} {p.op} {right}"
+        left = pretty_pexpr(p.lhs, lvl + (p.op in _NON_LEFT_ASSOC))
+        s = f"{left} {p.op} {pretty_pexpr(p.rhs, lvl + 1)}"
         return f"({s})" if prec > lvl else s
     if isinstance(p, PNot):
-        s = f"not {pretty_pexpr(p.arg, 3)}"
-        return f"({s})" if prec > 3 else s
+        s = f"not {pretty_pexpr(p.arg, _NOT_PREC)}"
+        return f"({s})" if prec > _NOT_PREC else s
     raise AssertionError(p)
 
 
@@ -1596,11 +1591,11 @@ def _pretty_expr(e: Expr, in_branch: bool) -> str:
     if isinstance(e, ExtCall):
         return e.name + "(" + ", ".join(pretty_pexpr(a) for a in e.args) + ")"
     if isinstance(e, RefNew):
-        return f"ref {pretty_pexpr(e.value, 99)}"
+        return f"ref {pretty_pexpr(e.value, _ATOM_PREC)}"
     if isinstance(e, RefGet):
-        return f"!{pretty_pexpr(e.ref, 99)}"
+        return f"!{pretty_pexpr(e.ref, _ATOM_PREC)}"
     if isinstance(e, RefSet):
-        return f"{pretty_pexpr(e.ref, 99)} := {pretty_pexpr(e.value, 8)}"
+        return f"{pretty_pexpr(e.ref, _ATOM_PREC)} := {pretty_pexpr(e.value, 8)}"
     raise AssertionError(e)
 
 

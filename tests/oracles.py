@@ -8,18 +8,22 @@ reachability.  Divergence is represented by None.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import importlib.util
 import random
 import sys
 from pathlib import Path
 
+from mfx.corpus import corpus_path, load_program
 from mfx.domain import (Heap, Ok, OkPure, VBool, VCtor, VList, VNat, VNone,
-                        VRef, VSome, VUnit, Value)
-from mfx.errors import DanglingRef
+                        VRef, VSome, VUnit, Value, parse_heap)
+from mfx.errors import DanglingRef, MfxError
 from mfx.syntax import (Bind, Case, Expr, ExtCall, If, PBin, PBool, PCall,
                         PCons, PCtor, PExpr, PNat, PNil, PNone, PNot,
                         PRefLit, Program, PSome, PUnit, PVar, RefGet, RefNew,
-                        Return, SelfCall)
+                        Return, SelfCall, parse_pexpr, parse_program,
+                        pretty_program, tokenize)
 
 
 def bench_gen():
@@ -260,3 +264,113 @@ def ref_run(program: Program, name: str, args, h: Heap, index: int):
     if program.fun_def(name).monad == "option":
         return OkPure(v)
     return Ok(v, Heap(tuple(sorted(cells.items())), nxt))
+
+
+# ---------------------------------------------------------------------------
+# What the frontend produces, pinned by digest
+# ---------------------------------------------------------------------------
+#
+# ``frontend_digests`` reads the corpus, seeded bench programs and heaps, and
+# every operator pair through the scanner and parser and hashes what comes
+# out; the expected digests were computed with the character-at-a-time
+# scanner and the seven-method operator ladder that came before the compiled
+# scanner and the precedence table.
+
+BINARY_OPS = ("or", "and", "=", "≠", "<", "#", "+", "-", "div", "mod")
+
+
+def dump(x) -> str:
+    """Canonical text of a syntax tree, value or heap; unlike ``repr`` and
+    ``==`` it includes every node's source position."""
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        fields = (f"{f.name}={dump(getattr(x, f.name))}"
+                  for f in dataclasses.fields(x) if f.init)
+        return f"{type(x).__name__}({', '.join(fields)})"
+    if isinstance(x, (tuple, list)):
+        return "(" + ", ".join(dump(y) for y in x) + ")"
+    if isinstance(x, Heap):
+        return f"Heap({dump(x.cells)}, next={x.next_id})"
+    return repr(x)
+
+
+def dump_tokens(source: str) -> str:
+    return "\n".join(f"{t.kind} {t.text!r} {t.line} {t.col}"
+                     for t in tokenize(source))
+
+
+def _outcome(parse, text: str) -> str:
+    """The dump of ``parse(text)``, or its error with the position."""
+    try:
+        return dump(parse(text))
+    except MfxError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+# Sources at the scanner's edges: nested block comments across lines, a
+# line comment inside a block comment, CRLF and other whitespace, non-ASCII
+# words, ASCII aliases, primes, and characters that start no token.
+LEXER_SOURCES = (
+    "a (* one (* two\n *) -- still\n three *) b\n  c",
+    "(*)", "(* (* *)", "x(**)y", "a--b\nc -- d",
+    "f(x) \r\n\t= g(x'' , _y)\x0c\u2028z",
+    "λx ↦ x² ⇒ ←", "|-> <- => != := ← ⇒ ↦ ≠ |", "::= !:= -> |-",
+    "done' do_ x1y 007 ٣", "²x", "a @ b", "x\n\n   ½",
+)
+
+
+def operator_sources() -> list[str]:
+    """Every pair of binary operators over three literals, unbracketed and
+    in both nestings, each also with ``not`` in front."""
+    out = []
+    for a in BINARY_OPS:
+        for b in BINARY_OPS:
+            for form in (f"1 {a} 2 {b} 3", f"(1 {a} 2) {b} 3", f"1 {a} (2 {b} 3)"):
+                out += [form, "not " + form]
+    return out
+
+
+def frontend_digests() -> dict[str, str]:
+    """SHA-256 of the token stream and the AST (with positions) of each
+    corpus program, of ``bench/gen.py`` programs of seeds 0-9 and of their
+    pretty-printed forms; of the parsed corpus heaps and seeded heap files;
+    and of the outcomes of ``operator_sources`` and of scanning
+    ``LEXER_SOURCES``."""
+    gen = bench_gen()
+    corpus = corpus_path("trace.mfx").parent
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(corpus.glob("*.mfx"))}
+    for seed in range(10):
+        sources[f"gen seed {seed}"] = gen.gen_program(random.Random(seed), 36).text
+    out = {}
+
+    def put(key: str, text: str):
+        out[key] = hashlib.sha256(text.encode()).hexdigest()
+
+    for name, text in sources.items():
+        pp = pretty_program(parse_program(text))
+        for key, src in ((name, text), (f"{name} pretty", pp)):
+            put(f"tokens {key}", dump_tokens(src))
+            put(f"ast {key}", dump(parse_program(src)))
+    traverse, occurs = load_program("traverse"), load_program("occurs")
+    heaps = {}
+    for name, prog in (("acyclic", traverse), ("cyclic", traverse),
+                       ("shared", occurs), ("cyclic_term", occurs)):
+        heaps[f"{name}.heap"] = (corpus_path(f"{name}.heap").read_text(
+            encoding="utf-8"), prog)
+    for seed in range(10):
+        rng = random.Random(seed)
+        ids = list(range(50))
+        rng.shuffle(ids)
+        cells: dict = {}
+        gen.linked_list(rng, 50, cells, ids, 7 if seed % 2 else None)
+        heaps[f"list seed {seed}"] = (gen.heap_text(cells, 50), traverse)
+        cells, next_id, *_ = gen.occurs_term(rng, 12, 4, seed % 2 == 1)
+        heaps[f"term seed {seed}"] = (gen.heap_text(cells, next_id), occurs)
+    for name, (text, prog) in heaps.items():
+        put(f"tokens {name}", dump_tokens(text))
+        put(f"heap {name}", dump(parse_heap(text, prog)))
+    put("operators", "\n".join(_outcome(parse_pexpr, s)
+                                for s in operator_sources()))
+    put("lexer edges", "\n".join(_outcome(dump_tokens, s)
+                                  for s in LEXER_SOURCES))
+    return out

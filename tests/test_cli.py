@@ -299,6 +299,79 @@ class TestExitCodes:
                        encoding="utf-8")
         assert run(capsys, "eval", str(src), "--args", "2") == (0, "OkPure(3)\n", "")
 
+    # Each malformed input ends in one error line with the message, line and
+    # column it had before the compiled scanner, the precedence table and
+    # the one-stream heap reader.
+    @pytest.mark.parametrize("source,error", [
+        ("option fun f(a : nat) : nat =\n  return a (* never closed",
+         "2:12: unterminated block comment"),
+        ("option fun f(a : nat) : nat = return a + ²",
+         "1:42: unexpected character '²'"),
+        ("option fun f(a : nat, b : nat, c : nat) : bool =\n  return a = b = c",
+         "2:16: expected 'datatype', 'pure fun', 'option fun' or 'heap fun'"),
+        ("option fun f(a : nat, b : bool) : nat = return a + not b",
+         "1:52: expected a pure expression"),
+        ("option fun f(a : nat) : list nat = return a #",
+         "1:46: expected a pure expression"),
+        ("option fun f(a : nat) : nat = return (a + 1",
+         "1:44: expected ')', found ''"),
+        ("option fun f(a : nat) : nat =\n  do x ← return a;\n     return x",
+         "3:14: expected 'done', found ''"),
+        ("option fun f(a : nat) : nat = do ref5 ← return a; return ref5 done",
+         "1:34: 'ref5' is reserved for reference literals"),
+    ], ids=["unterminated-comment", "superscript", "chained-comparison",
+            "not-after-operator", "trailing-cons", "missing-paren",
+            "missing-done", "ref-literal-binder"])
+    def test_malformed_program_is_1(self, capsys, tmp_path, source, error):
+        src = tmp_path / "bad.mfx"
+        src.write_text(source, encoding="utf-8")
+        assert run(capsys, "eval", str(src), "--args", "1") \
+            == (1, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize("args,error", [
+        ("1 (* never closed", "1:3: unterminated block comment"),
+        ("²", "1:1: unexpected character '²'"),
+        ("1 = 2 = 3", "1:7: expected a pure expression"),
+        ("1 + not true", "1:5: expected a pure expression"),
+        ("1 #", "1:4: expected a pure expression"),
+        ("(1", "1:3: expected ')', found ''"),
+        ("do", "1:1: expected a pure expression"),
+        ("ref5(1)", "'trace' takes 1 argument(s), got 2"),
+    ], ids=["unterminated-comment", "superscript", "chained-comparison",
+            "not-after-operator", "trailing-cons", "missing-paren", "keyword",
+            "ref-literal-applied"])
+    def test_malformed_args_is_1(self, capsys, args, error):
+        assert run(capsys, "eval", corpus("trace.mfx"), "--args", args) \
+            == (1, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize("text,error", [
+        ("0 ↦ Node(2, ref1)\n1 ↦ Empty\n",
+         "{heap}: heap file must end with next=n"),
+        ("0 ↦ Empty\nnext=1\nnext=1\n", "{heap}: line 3: duplicate next="),
+        ("0 ↦ Empty\n1 ↦ Empty Empty\nnext=2\n",
+         "{heap}: line 2: expected exactly one value"),
+        ("0 ↦\nnext=1\n", "{heap}: line 1: expected exactly one value"),
+        ("0 ↦ Node(2, ref1)\n1 Empty\nnext=2\n",
+         "{heap}: line 2: expected 'id ↦ value' or 'next=n'"),
+        ("-- one cell\n0 ↦ Node(2, ref5)\nnext=1\n",
+         "{heap}: heap file contains a dangling reference"),
+        ("0 ↦ Node(2, ref1)\n\n1 ↦ Node(true, ref0)\nnext=2\n",
+         "heap cell 1 does not hold a value of type node: argument of 'Node' "
+         "has type bool, expected nat"),
+        # A value is read from the whole file's token stream, so its error
+        # has the position in the file (before, its column in the value
+        # text and line 1).
+        ("0 ↦ Empty\n\n1 ↦ Node(x, ref0)\nnext=2\n",
+         "3:10: unbound variable 'x'"),
+    ], ids=["missing-next", "duplicate-next", "two-values", "no-value",
+            "no-arrow", "dangling", "ill-typed-cell", "value-error-position"])
+    def test_malformed_heap_file_is_1(self, capsys, tmp_path, text, error):
+        heap = tmp_path / "bad.heap"
+        heap.write_text(text, encoding="utf-8")
+        assert run(capsys, "eval", corpus("traverse.mfx"), "--args",
+                   "Node(1, ref0)", "--heap", str(heap)) \
+            == (1, "", f"error: {error.format(heap=heap)}\n")
+
     def test_heap_audit_rejected(self, capsys):
         code, _, err = run(capsys, "audit", corpus("occurs.mfx"),
                            "--fun", "occurs", "--q",

@@ -1,5 +1,7 @@
 """Order and store laws, chains and lubs, canonical rendering."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -233,6 +235,19 @@ class TestRendering:
     def test_heap_file_rejects_dangling(self, traverse_prog):
         with pytest.raises(ValueError):
             parse_heap("0 ↦ Node(1, ref5)\nnext=1\n", traverse_prog)
+
+    def test_heap_file_of_10000_cells(self, traverse_prog):
+        # A list of 10^4 cells at shuffled ids, read as one token stream
+        # (about 11 s for 10^5 cells when each line was parsed on its own).
+        rng = random.Random(4)
+        ids = list(range(10_000))
+        rng.shuffle(ids)
+        cells = {a: VCtor("Node", (VNat(rng.randrange(100)), VRef(b)))
+                 for a, b in zip(ids, ids[1:])}
+        cells[ids[-1]] = VCtor("Empty", ())
+        text = "".join(f"{i} ↦ {v}\n" for i, v in cells.items()) + "next=10000\n"
+        assert parse_heap(text, traverse_prog) \
+            == Heap(tuple(sorted(cells.items())), 10_000)
 
     def test_heap_closed(self, acyclic_heap):
         assert heap_closed(acyclic_heap)

@@ -15,11 +15,12 @@ from mfx.corpus import corpus_path, load_program
 from mfx.domain import (BOTTOM, EMPTY_HEAP, UNIT_V, Heap, Ok, OkPure, VBool,
                         VCtor, VList, VNat, VRef, parse_heap, value_to_pexpr)
 from mfx.errors import ChainViolation, DanglingRef, DslTypeError
-from mfx.evaluator import (Approximant, Diverged, approx_chain, eval_approx,
-                           eval_pure, in_semantics, run_lfp, unfold_once)
+from mfx.evaluator import (Approximant, Diverged, approx_chain, compile_pure,
+                           eval_approx, eval_pure, in_semantics, run_lfp,
+                           unfold_once)
 from mfx.induction import DomainSpec, enum_values
 from mfx.syntax import (Bind, FunDef, HEAP, If, NAT, PBin, PBool, PCall, PNat,
-                        PVar, RefGet, Return, TRef, parse_program)
+                        PVar, RefGet, Return, TRef, parse_pexpr, parse_program)
 
 from oracles import (acyclic_list_heap, bench_gen, occurs_in, random_node_arg,
                      random_node_heap, random_rtrm_heap, ref_pure, ref_run,
@@ -563,6 +564,17 @@ heap fun bump(env : ref nat, fuel : nat) : nat =
             "option fun inc(n : nat) : nat = return n + 1\n"
             f"option fun f(x0 : nat) : nat = do {binds}; return x300 done\n")
         assert run_lfp(prog, "f", (VNat(7),), EMPTY_HEAP) == OkPure(VNat(307))
+
+    def test_equal_terms_compile_once(self, traverse_prog):
+        # A term's code is kept under the term, which compares without
+        # positions: an equal term parsed elsewhere gets the same code.
+        a = parse_pexpr("1 # [2, 3]")
+        b = parse_pexpr("  1 #\n[2,3]")
+        assert a == b and a.pos != b.pos
+        code = compile_pure(a, traverse_prog)
+        assert compile_pure(b, traverse_prog) is code
+        assert code({}) == VList((VNat(1), VNat(2), VNat(3)))
+        assert compile_pure(parse_pexpr("1 # [3, 2]"), traverse_prog) is not code
 
     def test_200_read_write_pairs(self):
         pairs = "; ".join(["y <- !r; r := y + 1"] * 200)
